@@ -46,13 +46,17 @@ def _max_workers() -> int:
     return max(1, int(env)) if env else 1
 
 
-def _write_manifest(out_dir: Path, config_path, args: argparse.Namespace) -> None:
+def _write_manifest(
+    out_dir: Path, config_path, args: argparse.Namespace, skipped: dict[str, str] | None = None
+) -> None:
+    """``skipped`` maps each output that was not written to the reason."""
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(config_path),
         "config_sha256": digest,
         "seed": getattr(args, "seed", None),
         "command": args.command,
+        "skipped": skipped or {},
         "versions": {
             "aoi_rl": __version__,
             "numpy": np.__version__,
@@ -86,6 +90,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    skipped = {}
     if args.agent == "tabular":
         schedule = LearningSchedule()
         if args.epsilon is not None:
@@ -121,11 +126,14 @@ def cmd_train(args) -> int:
             indexer = enumerate_states(config, "age")
             kernel = build_kernel(config, indexer)
             export_policy_csv(out / "policy.csv", indexer, tabulate_policy(result.network, kernel))
-        except SizeLimitError:
-            pass  # state space too large to tabulate; checkpoint stands alone
+        except SizeLimitError as exc:
+            # the checkpoint stands alone when the state space cannot be tabulated
+            skipped["policy.csv"] = str(exc)
         final = result.gain_trace[-1]
-    _write_manifest(out, args.config, args)
+    _write_manifest(out, args.config, args, skipped)
     print(f"final gain estimate: {final:.6g}")
+    for name, reason in skipped.items():
+        print(f"skipped {name}: {reason}")
     return 0
 
 

@@ -298,7 +298,37 @@ def simulate_policy(
 # config file I/O
 
 
+_CONFIG_KEYS = frozenset(
+    {
+        "tx_power_dbm", "harvest_efficiency", "noise_power_dbm", "bandwidth_mhz",
+        "reference_gain", "path_loss_exponent", "rounding_mode", "packet_mbits",
+        "seed", "correlated_links", "sources",
+    }
+)
+_SOURCE_KEYS = frozenset(
+    {
+        "distance_m", "battery_capacity_mj", "battery_quanta", "aoi_cap", "weight",
+        "levels_downlink", "levels_uplink",
+    }
+)
+
+
+def _check_keys(data, known: frozenset, where: str) -> None:
+    """Reject an entry that is not a mapping or holds keys outside ``known``."""
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"config entry {where} must be a mapping")
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise InvalidConfigError(f"unknown config key(s) {', '.join(map(str, unknown))} {where}")
+
+
 def config_from_dict(data: dict) -> SystemConfig:
+    _check_keys(data, _CONFIG_KEYS, "at the top level")
+    sources = data.get("sources", [])
+    if not isinstance(sources, (list, tuple)):
+        raise InvalidConfigError("config key sources must hold a list of source entries")
+    for i, s in enumerate(sources, start=1):
+        _check_keys(s, _SOURCE_KEYS, f"in source {i}")
     try:
         gamma = float(data["reference_gain"])
         nu = float(data["path_loss_exponent"])

@@ -3,12 +3,21 @@
 State indexing, the factored transition kernel, relative value iteration
 for the average-cost (age) and average-reward (throughput) objectives, an
 exhaustive policy-enumeration oracle for tiny instances, and exact policy
-evaluation through the stationary distribution of the induced chain.
+evaluation on the post-decision (core) chain.
 
 The kernel is kept in factored form: the battery/AoI successor of a
 (state, action) pair is deterministic, and the next channel levels are an
 independent product of per-link pmfs. Rows of the full transition matrix
-are materialized on demand only.
+are materialized on demand only, by the oracle.
+
+Because the channel levels of each slot are drawn independently of the
+past, the channel-free (battery, AoI) "core" sequence under a stationary
+policy is itself a Markov chain. Policy evaluation therefore solves that
+chain, whose size is the core count (100 states on a single source with
+ten battery levels and AoI cap 10), instead of the full-state chain. The
+full chain's stationary law is the core law times the channel pmf, and
+the full chain started at the canonical start state enters the core chain
+at the start state's successor core.
 """
 
 from __future__ import annotations
@@ -161,7 +170,6 @@ class TransitionKernel:
                 chan_groups.append(((off + 1,), np.arange(len(up), dtype=np.int64)[None, :], up))
             chan_axes.extend((off, off + 1))
         self._chan_groups = chan_groups
-        self._chan_axes = chan_axes
         offsets = np.zeros(1, dtype=np.int64)
         probs = np.ones(1)
         for axes, levels, pmf in chan_groups:
@@ -173,11 +181,15 @@ class TransitionKernel:
         self.chan_offsets = offsets
         self.chan_probs = probs
 
-        # core (non-channel) dims used during the RVIA channel contraction
+        # core (non-channel) dims: RVIA contracts channels onto them and policy
+        # evaluation runs on the chain over them
         core_axes = [k for k in range(len(indexer.dims)) if k not in set(chan_axes)]
-        self._core_axes = core_axes
         cdims = dims[core_axes]
         cstr = _strides(cdims)
+        # full index of each core state at the lowest channel levels; adding
+        # chan_offsets gives the full states that share the core
+        core_grids = np.unravel_index(np.arange(int(np.prod(cdims))), cdims)
+        self.core_base = np.stack(core_grids, axis=1).astype(np.int64) @ fstr[core_axes]
 
         feasible = np.zeros((n, self.num_actions), dtype=bool)
         feasible[:, HARVEST] = True
@@ -225,7 +237,6 @@ class TransitionKernel:
         self.feasible = feasible
         self.succ_small = succ_small
         self.succ_full = succ_full
-        self._core_size = int(np.prod(cdims)) if len(cdims) else 1
 
         if self.objective == "age":
             weights = np.array([s.weight for s in config.sources])
@@ -358,7 +369,14 @@ def solve_rvia(
 
 def _class_gain(P: sp.csr_matrix, members: np.ndarray, stage: np.ndarray) -> float:
     """Average stage value under the stationary distribution of one
-    recurrent class."""
+    recurrent class.
+
+    Large classes are solved sparsely with the last member's weight pinned
+    to 1: the others then solve the nonsingular system (I - Q)^T x = r,
+    with Q the class's transitions among them and r the last member's
+    transitions into them, and normalising gives the distribution. A dense
+    normalisation row would fill in the sparse factorisation.
+    """
     m = len(members)
     if m == 1:
         return float(stage[members[0]])
@@ -370,11 +388,10 @@ def _class_gain(P: sp.csr_matrix, members: np.ndarray, stage: np.ndarray) -> flo
         rhs[-1] = 1.0
         pi = np.linalg.solve(mat, rhs)
     else:
-        mat = (sub.T - sp.identity(m)).tolil()
-        mat[-1, :] = 1.0
-        rhs = np.zeros(m)
-        rhs[-1] = 1.0
-        pi = spsolve(mat.tocsc(), rhs)
+        lhs = (sp.identity(m - 1, format="csr") - sub[:-1, :-1]).T.tocsc()
+        rhs = sub[-1, :-1].toarray().ravel()
+        pi = np.append(spsolve(lhs, rhs), 1.0)
+        pi /= pi.sum()
     return float(pi @ stage[members])
 
 
@@ -414,8 +431,18 @@ def markov_chain_gain(P: sp.csr_matrix, stage: np.ndarray, start: int) -> float:
     return gain
 
 
-def induced_chain(kernel: TransitionKernel, policy: np.ndarray, nnz_limit: int = 50_000_000):
-    """Sparse transition matrix and stage vector of the policy's chain."""
+def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
+    """Post-decision (core) chain of a deterministic policy.
+
+    Returns ``(P, stage, start)`` over the channel-free core states. The
+    channel levels of a slot are drawn independently of the core state, so
+    the core sequence is itself Markov: ``P[c, c']`` sums the channel
+    probabilities of the combinations under which the policy moves core
+    ``c`` to ``c'``, and ``stage[c]`` is the channel-averaged stage value
+    of the policy's action. The full chain's stationary law is the core
+    one times the channel pmf. ``start`` is the core the canonical start
+    state moves to under the policy.
+    """
     policy = np.asarray(policy, dtype=np.int64)
     n = kernel.total_states
     if policy.shape != (n,):
@@ -427,26 +454,24 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray, nnz_limit: int =
             f"policy takes {action_name(int(policy[s]))} in state "
             f"{kernel.indexer.index_to_state(s)} where it is infeasible"
         )
+    core = len(kernel.core_base)
     m = len(kernel.chan_offsets)
-    if n * m > nnz_limit:
-        raise SizeLimitError(f"induced chain would hold {n * m} nonzeros")
-    base = kernel.succ_full[np.arange(n), policy]
-    cols = (base[:, None] + kernel.chan_offsets[None, :]).ravel()
-    rows = np.repeat(np.arange(n), m)
-    data = np.tile(kernel.chan_probs, n)
-    P = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    if kernel.objective == "age":
-        stage = kernel.cost
-    else:
-        stage = kernel.reward_sa[np.arange(n), policy]
-    return P, stage
+    states = kernel.core_base[:, None] + kernel.chan_offsets[None, :]
+    actions = policy[states]
+    succ = kernel.succ_small[states, actions].ravel()
+    rows = np.repeat(np.arange(core), m)
+    data = np.tile(kernel.chan_probs, core)
+    P = sp.csr_matrix((data, (rows, succ)), shape=(core, core))
+    stage = kernel.stage_matrix()[states, actions] @ kernel.chan_probs
+    start = int(kernel.succ_small[kernel.start_index, policy[kernel.start_index]])
+    return P, stage, start
 
 
 def evaluate_policy(kernel: TransitionKernel, policy: np.ndarray) -> float:
     """Exact long-run average cost/reward of a deterministic policy,
     started from the full-battery / fresh-information state."""
-    P, stage = induced_chain(kernel, policy)
-    return markov_chain_gain(P, stage, kernel.start_index)
+    P, stage, start = induced_chain(kernel, policy)
+    return markov_chain_gain(P, stage, start)
 
 
 # ---------------------------------------------------------------------------

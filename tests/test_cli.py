@@ -54,6 +54,7 @@ def test_solve_writes_policy_and_manifest(tmp_path, config_path, capsys):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
+    assert manifest["skipped"] == {}
     assert len(manifest["config_sha256"]) == 64
     assert "numpy" in manifest["versions"]
 
@@ -144,6 +145,41 @@ def test_train_dqn_checkpoint_verifies_as_advisory(tmp_path, config_path, capsys
     printed = capsys.readouterr().out
     assert code == 0  # learned policies never fail the exit status
     assert "(advisory)" in printed
+
+
+def test_train_dqn_records_skipped_policy_table(tmp_path, capsys):
+    # three sources of 10 x 10 x 10 x 10 states each: 10^12 states, far above
+    # the enumeration limit, so the greedy policy cannot be tabulated
+    source = {
+        "distance_m": 25.0,
+        "battery_capacity_mj": 0.3,
+        "battery_quanta": 9,
+        "aoi_cap": 10,
+        "weight": 1.0 / 3.0,
+        "levels_downlink": 10,
+        "levels_uplink": 10,
+    }
+    data = {
+        "tx_power_dbm": 37.0,
+        "harvest_efficiency": 0.5,
+        "noise_power_dbm": -95.0,
+        "packet_mbits": 12.0,
+        "bandwidth_mhz": 1.0,
+        "reference_gain": 0.2,
+        "path_loss_exponent": 2.0,
+        "sources": [source, source, source],
+    }
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "dqn"
+    args = ["train", "--config", str(path), "--agent", "dqn", "--slots", "40", "--out", str(out)]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert (out / "checkpoint.npz").exists()
+    assert not (out / "policy.csv").exists()
+    reason = json.loads((out / "manifest.json").read_text())["skipped"]["policy.csv"]
+    assert "1000000000000 states" in reason
+    assert f"skipped policy.csv: {reason}" in printed
 
 
 def test_sweep_single_value_matches_solve(tmp_path, config_path, capsys):

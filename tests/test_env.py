@@ -1,6 +1,7 @@
 """Environment dynamics, energy arithmetic, and config I/O."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from aoi_rl.env import (
 from aoi_rl.errors import InfeasibleActionError, InvalidConfigError
 
 from conftest import make_config
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
 # --- radio arithmetic, checked against independent hand formulas ----------
@@ -278,6 +281,39 @@ def test_config_rejects_unknown_rounding_mode():
     data["rounding_mode"] = "nearest"
     with pytest.raises(InvalidConfigError, match="rounding"):
         config_from_dict(data)
+
+
+def test_config_rejects_unknown_top_level_key():
+    data = _config_dict()
+    data["packet_bits"] = 12e6
+    with pytest.raises(InvalidConfigError, match="packet_bits.*top level"):
+        config_from_dict(data)
+
+
+def test_config_rejects_per_source_correlated_links():
+    data = _config_dict()
+    data["sources"][0]["correlated_links"] = True
+    with pytest.raises(InvalidConfigError, match="correlated_links.*source 1"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("sources", [5, [5], ["distance_m"]])
+def test_config_rejects_malformed_sources(sources):
+    data = _config_dict()
+    data["sources"] = sources
+    with pytest.raises(InvalidConfigError, match="sources|source 1"):
+        config_from_dict(data)
+
+
+def test_config_accepts_top_level_correlated_links():
+    data = _config_dict()
+    data["correlated_links"] = True
+    assert config_from_dict(data).correlated_links
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
+def test_committed_config_files_load(path):
+    assert load_config(path).num_sources >= 1
 
 
 def test_correlated_links_require_matching_level_counts():

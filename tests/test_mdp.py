@@ -1,12 +1,14 @@
 """Exact-solver tests: indexing, kernel, RVIA, chain evaluation, oracle."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_rl.env import HARVEST
+from aoi_rl.env import HARVEST, load_config
 from aoi_rl.errors import (
     ContractError,
     ConvergenceError,
@@ -14,6 +16,8 @@ from aoi_rl.errors import (
     SizeLimitError,
 )
 from aoi_rl.mdp import (
+    _class_gain,
+    _dense_chain_gain,
     brute_force_oracle,
     build_kernel,
     enumerate_states,
@@ -26,6 +30,8 @@ from aoi_rl.mdp import (
 )
 
 from conftest import make_config, random_tiny_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- state indexing -------------------------------------------------------
@@ -190,6 +196,144 @@ def test_induced_chain_rejects_wrong_shape():
     kernel = build_kernel(cfg, enumerate_states(cfg))
     with pytest.raises(ContractError):
         induced_chain(kernel, np.zeros(3, dtype=np.int64))
+
+
+def _random_feasible_policy(kernel, rng):
+    return np.array([rng.choice(np.flatnonzero(f)) for f in kernel.feasible], dtype=np.int64)
+
+
+def _dense_full_chain_gain(kernel, policy):
+    """Full-state chain built row by row from ``kernel.row`` and solved by
+    the dense oracle."""
+    n = kernel.total_states
+    P = np.zeros((n, n))
+    for s in range(n):
+        cols, probs = kernel.row(s, int(policy[s]))
+        np.add.at(P[s], cols, probs)
+    stage = np.array([kernel.stage(s, int(policy[s])) for s in range(n)])
+    return _dense_chain_gain(P, stage, kernel.start_index)
+
+
+def _sparse_full_chain_gain(kernel, policy):
+    """Full-state chain as one sparse matrix, solved by markov_chain_gain."""
+    n = kernel.total_states
+    m = len(kernel.chan_offsets)
+    base = kernel.succ_full[np.arange(n), policy]
+    P = sp.csr_matrix(
+        (
+            np.tile(kernel.chan_probs, n),
+            (np.repeat(np.arange(n), m), (base[:, None] + kernel.chan_offsets).ravel()),
+        ),
+        shape=(n, n),
+    )
+    stage = kernel.cost if kernel.objective == "age" else kernel.reward_sa[np.arange(n), policy]
+    return markov_chain_gain(P, stage, kernel.start_index)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    objective=st.sampled_from(["age", "throughput"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_core_chain_matches_dense_full_chain(seed, objective):
+    rng = np.random.default_rng(seed)
+    cfg = random_tiny_config(rng)
+    kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+    policy = _random_feasible_policy(kernel, rng)
+    assert evaluate_policy(kernel, policy) == pytest.approx(
+        _dense_full_chain_gain(kernel, policy), rel=1e-9, abs=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg_kwargs, objective",
+    [
+        (dict(battery_quanta=2, aoi_cap=3, levels=3, correlated_links=True), "age"),
+        (dict(battery_quanta=3, levels=4, correlated_links=True), "throughput"),
+        (dict(distances=(25.0, 40.0), battery_quanta=1, aoi_cap=2, levels=2), "age"),
+    ],
+    ids=["correlated-age", "correlated-throughput", "two-source"],
+)
+def test_core_chain_matches_dense_full_chain_fixed(cfg_kwargs, objective):
+    cfg = make_config(**cfg_kwargs)
+    kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+    rng = np.random.default_rng(7)
+    policies = [solve_rvia(kernel)[1].actions, np.zeros(kernel.total_states, dtype=np.int64)]
+    policies += [_random_feasible_policy(kernel, rng) for _ in range(3)]
+    for policy in policies:
+        assert evaluate_policy(kernel, policy) == pytest.approx(
+            _dense_full_chain_gain(kernel, policy), rel=1e-9, abs=1e-9
+        )
+
+
+def test_core_chain_starts_at_successor_of_start_state():
+    # harvesting and transmitting both move one quantum; battery 0..2,
+    # AoI 1..2, one downlink level, two uplink levels
+    cfg = make_config(
+        distances=(41.33,),
+        battery_mj=0.511,
+        battery_quanta=2,
+        aoi_cap=2,
+        levels=1,
+        levels_uplink=2,
+        packet_mbits=7.36,
+    )
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    assert kernel.e_h[0].tolist() == [1] and kernel.e_t[0].tolist() == [1, 1]
+    transmit = {(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 1)}  # 0-based (b, A, g, h)
+    policy = np.array(
+        [int(kernel.indexer.index_to_state(s) in transmit) for s in range(kernel.total_states)]
+    )
+    # The start (b 2, AoI 1, h 1) transmits into core (1, 1). From there the
+    # chain enters, with probability 1/2 each, the cycle (0, 1) <-> (1, 2)
+    # (average AoI 1.5) or the absorbing core (2, 2) (AoI 2): gain 1.75.
+    # Drawing a fresh channel at the start's own core (2, 1) would give 1.875.
+    assert evaluate_policy(kernel, policy) == pytest.approx(1.75, abs=1e-12)
+    assert _dense_full_chain_gain(kernel, policy) == pytest.approx(1.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("objective", ["age", "throughput"])
+def test_core_chain_matches_sparse_full_chain_single_source_large(objective):
+    cfg = load_config(ROOT / "configs" / "single_source_large.yaml")
+    kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+    _, pt = solve_rvia(kernel)
+    policies = {
+        "rvia": pt.actions,
+        "harvest-only": np.zeros(kernel.total_states, dtype=np.int64),
+        "random": _random_feasible_policy(kernel, np.random.default_rng(11)),
+    }
+    for name, policy in policies.items():
+        assert evaluate_policy(kernel, policy) == pytest.approx(
+            _sparse_full_chain_gain(kernel, policy), rel=1e-9
+        ), name
+
+
+def test_two_source_evaluation_matches_rvia_gain():
+    cfg = make_config(distances=(25.0, 40.0))
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    assert (kernel.total_states, kernel.num_actions) == (65_536, 3)
+    vt, pt = solve_rvia(kernel)
+    assert evaluate_policy(kernel, pt.actions) == pytest.approx(vt.gain, rel=1e-9)
+
+
+def test_class_gain_sparse_branch_matches_dense_solve():
+    # ring 0 -> 1 -> ... -> m-1 -> 0 makes the chain irreducible; three
+    # random extra successors per state make it aperiodic and non-trivial
+    m = 2500
+    rng = np.random.default_rng(5)
+    rows = np.repeat(np.arange(m), 4)
+    cols = np.column_stack([(np.arange(m) + 1) % m, rng.integers(m, size=(m, 3))]).ravel()
+    weights = rng.uniform(0.1, 1.0, size=(m, 4))
+    weights /= weights.sum(axis=1, keepdims=True)
+    P = sp.csr_matrix((weights.ravel(), (rows, cols)), shape=(m, m))
+    stage = rng.normal(size=m)
+
+    lhs = P.T.toarray() - np.eye(m)
+    lhs[-1, :] = 1.0
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    expected = float(np.linalg.solve(lhs, rhs) @ stage)
+    assert _class_gain(P, np.arange(m), stage) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 # --- relative value iteration ---------------------------------------------
