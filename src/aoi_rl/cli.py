@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +38,6 @@ from .structure import (
     export_violations_csv,
 )
 from .tabular import LearningSchedule, train_tabular
-
-
-def _max_workers() -> int:
-    env = os.environ.get("AOI_RL_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _write_manifest(
@@ -86,6 +80,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _write_trace_csv(path: Path, header: list[str], *columns: np.ndarray) -> None:
+    """Slot number plus one ``repr(float)`` field per column and slot.
+
+    The bytes are those of a ``csv.writer`` rendering (CRLF line ends; no
+    field needs quoting), formatted lazily so that no per-row list is built.
+    """
+    row = ",".join(["{}"] + ["{!r}"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.format, itertools.count(), *(map(float, c) for c in columns)))
+
+
 def cmd_train(args) -> int:
     config = load_config(args.config)
     out = Path(args.out)
@@ -96,11 +102,7 @@ def cmd_train(args) -> int:
         if args.epsilon is not None:
             schedule.eps0 = args.epsilon
         qt, trace = train_tabular(config, args.slots, args.seed, schedule=schedule)
-        with open(out / "trace.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "gain_estimate"])
-            for k, g in enumerate(trace):
-                writer.writerow([k, repr(float(g))])
+        _write_trace_csv(out / "trace.csv", ["slot", "gain_estimate"], trace)
         indexer = enumerate_states(config, "age")
         export_policy_csv(out / "policy.csv", indexer, qt.greedy_policy())
         final = trace[-1]
@@ -109,18 +111,13 @@ def cmd_train(args) -> int:
         if args.epsilon is not None:
             hyper.eps0 = args.epsilon
         result = train_dqn(config, hyper)
-        with open(out / "trace.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "gain_estimate", "epsilon", "loss"])
-            for k in range(args.slots):
-                writer.writerow(
-                    [
-                        k,
-                        repr(float(result.gain_trace[k])),
-                        repr(float(result.epsilon_trace[k])),
-                        repr(float(result.loss_trace[k])),
-                    ]
-                )
+        _write_trace_csv(
+            out / "trace.csv",
+            ["slot", "gain_estimate", "epsilon", "loss"],
+            result.gain_trace,
+            result.epsilon_trace,
+            result.loss_trace,
+        )
         result.network.save(out / "checkpoint.npz")
         try:
             indexer = enumerate_states(config, "age")
@@ -190,8 +187,7 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",")]
     if any(v <= 0 for v in values):
         raise SystemExit("sweep values must be positive")
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        gains = list(pool.map(lambda v: _sweep_point(config, args, v), values))
+    gains = [_sweep_point(config, args, v) for v in values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:

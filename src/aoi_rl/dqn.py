@@ -54,11 +54,17 @@ class QNetwork:
             raise ContractError(
                 f"input width {a.shape[1]} != network input {self.weights[0].shape[0]}"
             )
+        a = self._forward(a)
+        return a[0] if single else a
+
+    def _forward(self, a: np.ndarray) -> np.ndarray:
+        """``forward`` on a float batch of the right width, unchecked."""
+        last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w + b
-            if k < len(self.weights) - 1:
+            if k < last:
                 a = np.maximum(a, 0.0)
-        return a[0] if single else a
+        return a
 
     def _forward_cached(self, x: np.ndarray):
         acts = [x]
@@ -157,12 +163,17 @@ def _encoding_denominators(config: SystemConfig) -> np.ndarray:
     return np.array(denoms, dtype=float)
 
 
-def encode_state(config: SystemConfig, state: SystemState) -> np.ndarray:
-    """Per-source (battery, AoI, downlink, uplink) scaled into [0, 1]."""
+def _state_values(state: SystemState) -> np.ndarray:
+    """Per-source (battery, AoI, downlink, uplink), all 0-based."""
     raw = []
     for src in state.per_source:
         raw += [src.battery, src.aoi - 1, src.g_level - 1, src.h_level - 1]
-    return np.array(raw, dtype=float) / _encoding_denominators(config)
+    return np.array(raw, dtype=float)
+
+
+def encode_state(config: SystemConfig, state: SystemState) -> np.ndarray:
+    """Per-source (battery, AoI, downlink, uplink) scaled into [0, 1]."""
+    return _state_values(state) / _encoding_denominators(config)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +196,14 @@ def target_value(
 
 def batch_targets(prev_net, costs, enc_next, masks_next, enc_ref, mask_ref) -> np.ndarray:
     q_next = prev_net.forward(enc_next)
-    q_next = np.where(masks_next, q_next, np.inf)
     ref_best = prev_net.forward(enc_ref)[mask_ref].min()
-    return costs + q_next.min(axis=1) - ref_best
+    return _relative_targets(costs, q_next, masks_next, ref_best)
+
+
+def _relative_targets(costs, q_next, masks_next, ref_best) -> np.ndarray:
+    """Batch targets from the snapshot's next-state Q-values and its best
+    feasible Q-value at the reference state."""
+    return costs + np.where(masks_next, q_next, np.inf).min(axis=1) - ref_best
 
 
 def loss_and_grads(net: QNetwork, enc_batch, actions, targets):
@@ -306,8 +322,14 @@ def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[SystemSta
     """Map any system state to the feasible action with the lowest Q-value."""
     from .env import feasible_actions
 
+    denoms = _encoding_denominators(config)
+    if net.layer_sizes[0] != len(denoms):
+        raise ContractError(
+            f"network input {net.layer_sizes[0]} != state encoding width {len(denoms)}"
+        )
+
     def policy(state: SystemState) -> int:
-        q = net.forward(encode_state(config, state))
+        q = net._forward((_state_values(state) / denoms)[None, :])[0]
         feas = feasible_actions(config, state)
         return min(feas, key=lambda a: (q[a], a))
 
@@ -318,13 +340,19 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     """Sequential loop: mask-aware epsilon-greedy action, environment step,
     replay insertion, batched target computation against the snapshot
     weights, one SGD step; the snapshot refreshes every target_refresh
-    slots."""
+    slots.
+
+    The loop computes what ``batch_targets`` and ``forward`` would, on the
+    same batch shapes and in the same order, without their per-call
+    checks. With a refresh period of one the snapshot is the live network
+    itself, and the snapshot's reference value is the one the live
+    network had when it was taken, so neither is recomputed.
+    """
     rng = np.random.default_rng(hyper.seed)
     env = _FastEnv(config, rng)
     num_actions = config.num_sources + 1
     sizes = [4 * config.num_sources, *hyper.hidden_sizes, num_actions]
     net = QNetwork.create(sizes, rng)
-    snapshot = net.copy()
     memory = ReplayMemory(hyper.replay_capacity, sizes[0], num_actions)
 
     # reference state: empty battery, fresh information, lowest levels
@@ -338,43 +366,45 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     eps_trace = np.empty(hyper.total_slots)
     loss_trace = np.full(hyper.total_slots, np.nan)
 
+    enc_ref_row = enc_ref[None, :]
+    ref_best = net._forward(enc_ref_row)[0][ref_mask].min()  # of the live network
+    enc_s, mask = env.encode(), env.feasible_mask()
     for k in range(hyper.total_slots):
         if k % hyper.target_refresh == 0:
-            snapshot = net.copy()
+            snapshot = net if hyper.target_refresh == 1 else net.copy()
+            snapshot_ref_best = ref_best
         eps = hyper.epsilon(k)
-        enc_s = env.encode()
-        mask = env.feasible_mask()
         if rng.random() < eps:
             feas = np.flatnonzero(mask)
             action = int(feas[rng.integers(len(feas))])
         else:
-            q = net.forward(enc_s)
+            q = net._forward(enc_s[None, :])[0]
             action = int(np.argmin(np.where(mask, q, np.inf)))
         cost = env.cost()
         env.step(action)
-        memory.push(enc_s, action, cost, env.encode(), env.feasible_mask())
+        enc_next, mask_next = env.encode(), env.feasible_mask()
+        memory.push(enc_s, action, cost, enc_next, mask_next)
 
         if memory.size >= hyper.batch_size:
             idx = memory.sample(hyper.batch_size, rng)
-            targets = batch_targets(
-                snapshot,
+            targets = _relative_targets(
                 memory.costs[idx],
-                memory.enc_next[idx],
+                snapshot._forward(memory.enc_next[idx]),
                 memory.mask_next[idx],
-                enc_ref,
-                ref_mask,
+                snapshot_ref_best,
             )
             loss_trace[k] = gradient_step(
                 net, memory.enc_s[idx], memory.actions[idx], targets, hyper.learning_rate
             )
 
-        q_ref = net.forward(enc_ref)
-        gain_trace[k] = q_ref[ref_mask].min()
+        q_ref = net._forward(enc_ref_row)[0]
+        ref_best = gain_trace[k] = q_ref[ref_mask].min()
         eps_trace[k] = eps
         if np.abs(q_ref).max() > hyper.divergence_limit:
             raise FloatingPointError(
                 f"Q-values diverged beyond {hyper.divergence_limit} at slot {k}"
             )
+        enc_s, mask = enc_next, mask_next
 
     return DqnResult(
         network=net,

@@ -75,6 +75,10 @@ class SystemConfig:
     noise_watts: float = field(init=False)
     downlink_quantizers: tuple[FadingQuantizer, ...] = field(init=False)
     uplink_quantizers: tuple[FadingQuantizer, ...] = field(init=False)
+    # per source, quanta by 0-based level: harvested over downlink levels,
+    # needed to transmit over uplink levels
+    harvest_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    transmit_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.sources:
@@ -102,6 +106,14 @@ class SystemConfig:
         )
         self.uplink_quantizers = tuple(
             build_quantizer(s.link.mean_gain, s.link.levels_uplink) for s in self.sources
+        )
+        self.harvest_table = tuple(
+            tuple(harvested_quanta(self, i, lv) for lv in range(1, s.link.levels_downlink + 1))
+            for i, s in enumerate(self.sources)
+        )
+        self.transmit_table = tuple(
+            tuple(transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1))
+            for i, s in enumerate(self.sources)
         )
 
     @property
@@ -163,18 +175,13 @@ def energy_tables(config: SystemConfig) -> tuple[list[np.ndarray], list[np.ndarr
     """Per-source quanta tables indexed by 0-based channel level.
 
     Returns (harvest tables over downlink levels, transmit tables over
-    uplink levels). Warns when a source can never afford a transmission.
+    uplink levels), as arrays of the config's tables. Warns when a source
+    can never afford a transmission.
     """
     e_h, e_t = [], []
     for i, spec in enumerate(config.sources):
-        eh = np.array(
-            [harvested_quanta(config, i, lv) for lv in range(1, spec.link.levels_downlink + 1)],
-            dtype=np.int64,
-        )
-        et = np.array(
-            [transmit_quanta(config, i, lv) for lv in range(1, spec.link.levels_uplink + 1)],
-            dtype=np.int64,
-        )
+        eh = np.array(config.harvest_table[i], dtype=np.int64)
+        et = np.array(config.transmit_table[i], dtype=np.int64)
         if np.all(et > spec.battery_quanta):
             warnings.warn(
                 f"source {i + 1} can never transmit: minimum transmit cost "
@@ -186,13 +193,19 @@ def energy_tables(config: SystemConfig) -> tuple[list[np.ndarray], list[np.ndarr
     return e_h, e_t
 
 
+def _can_transmit(config: SystemConfig, state: SystemState, action: int) -> bool:
+    """Whether ``action`` names a source whose battery covers its uplink cost."""
+    if not 0 < action <= config.num_sources:
+        return False
+    src = state.per_source[action - 1]
+    return src.battery >= config.transmit_table[action - 1][src.h_level - 1]
+
+
 def feasible_actions(config: SystemConfig, state: SystemState) -> list[int]:
     """Harvest plus every transmit whose battery covers the uplink cost."""
-    acts = [HARVEST]
-    for i, src in enumerate(state.per_source):
-        if src.battery >= transmit_quanta(config, i, src.h_level):
-            acts.append(i + 1)
-    return acts
+    return [HARVEST] + [
+        a for a in range(1, config.num_sources + 1) if _can_transmit(config, state, a)
+    ]
 
 
 def step(
@@ -205,7 +218,7 @@ def step(
     if action != HARVEST:
         i = action - 1
         src = state.per_source[i]
-        cost = transmit_quanta(config, i, src.h_level)
+        cost = config.transmit_table[i][src.h_level - 1]
         if src.battery < cost:
             raise InfeasibleActionError(
                 f"transmit from source {action} needs {cost} quanta, "
@@ -215,9 +228,9 @@ def step(
     for j, src in enumerate(state.per_source):
         spec = config.sources[j]
         if action == HARVEST:
-            battery = min(spec.battery_quanta, src.battery + harvested_quanta(config, j, src.g_level))
+            battery = min(spec.battery_quanta, src.battery + config.harvest_table[j][src.g_level - 1])
         elif action == j + 1:
-            battery = src.battery - transmit_quanta(config, j, src.h_level)
+            battery = src.battery - config.transmit_table[j][src.h_level - 1]
         else:
             battery = src.battery
         aoi = 1 if action == j + 1 else min(spec.aoi_cap, src.aoi + 1)
@@ -279,7 +292,7 @@ def simulate_policy(
     trace = [] if record_trace else None
     for _ in range(horizon):
         action = policy(state)
-        if action != HARVEST and action not in feasible_actions(config, state):
+        if action != HARVEST and not _can_transmit(config, state, action):
             raise InfeasibleActionError(f"policy chose {action_name(action)} at {state}")
         total_cost += stage_cost(config, state)
         if action == 1 and config.num_sources == 1:

@@ -3,7 +3,9 @@
 State indexing, the factored transition kernel, relative value iteration
 for the average-cost (age) and average-reward (throughput) objectives, an
 exhaustive policy-enumeration oracle for tiny instances, and exact policy
-evaluation on the post-decision (core) chain.
+evaluation on the post-decision (core) chain. Only that evaluation uses
+``scipy.sparse``, so it is imported there: the CLI commands that never
+evaluate a policy do not pay for loading it.
 
 The kernel is kept in factored form: the battery/AoI successor of a
 (state, action) pair is deterministic, and the next channel levels are an
@@ -24,13 +26,11 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import splu, spsolve
 
 from .channel import FadingQuantizer
 from .env import HARVEST, SystemConfig, action_name, energy_tables, parse_action
@@ -68,7 +68,16 @@ class StateIndexer:
         return 4 if self.objective == "age" else 3
 
     def state_to_index(self, values) -> int:
-        return int(np.ravel_multi_index(tuple(values), self.dims))
+        """Row-major index of one state's 0-based variable values."""
+        values = tuple(values)
+        if len(values) != len(self.dims):
+            raise ValueError(f"expected {len(self.dims)} state variables, got {len(values)}")
+        index = 0
+        for v, d in zip(values, self.dims):
+            if not 0 <= v < d:
+                raise ValueError(f"state variable {v} outside [0, {d})")
+            index = index * d + operator.index(v)
+        return int(index)
 
     def index_to_state(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.unravel_index(index, self.dims))
@@ -380,6 +389,9 @@ def _class_gain(P: sp.csr_matrix, members: np.ndarray, stage: np.ndarray) -> flo
     m = len(members)
     if m == 1:
         return float(stage[members[0]])
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     sub = P[members][:, members]
     if m <= 2000:
         mat = sub.T.toarray() - np.eye(m)
@@ -401,6 +413,10 @@ def markov_chain_gain(P: sp.csr_matrix, stage: np.ndarray, start: int) -> float:
     Gains of the recurrent classes reachable from the start are weighted by
     their absorption probabilities.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse.linalg import splu
+
     n = P.shape[0]
     _, labels = connected_components(P, directed=True, connection="strong")
     rows_of_nz = np.repeat(np.arange(n), np.diff(P.indptr))
@@ -443,6 +459,8 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     one times the channel pmf. ``start`` is the core the canonical start
     state moves to under the policy.
     """
+    import scipy.sparse as sp
+
     policy = np.asarray(policy, dtype=np.int64)
     n = kernel.total_states
     if policy.shape != (n,):

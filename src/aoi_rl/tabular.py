@@ -86,6 +86,12 @@ def epsilon_greedy(
     return qtable.greedy_action(s)
 
 
+def _flat_view(array: np.ndarray, fmt: str) -> memoryview:
+    """Flat view of a C-contiguous array whose items read and write as
+    Python scalars (``fmt`` is the struct code of its dtype)."""
+    return memoryview(array).cast("B").cast(fmt)
+
+
 def train_tabular(
     config: SystemConfig,
     total_slots: int,
@@ -115,21 +121,53 @@ def train_tabular(
         feasible=kernel.feasible,
         reference_state=kernel.start_index,
     )
-    succ = kernel.succ_full
-    offsets = kernel.chan_offsets
-    cost = kernel.cost
+    n_actions = kernel.num_actions
+    # The slot loop is epsilon_greedy + q_update on Python scalars: flat
+    # memoryviews of the arrays, plus each state's best feasible Q-value
+    # and its lowest-index argmin, refreshed whenever a row of Q changes.
+    # It draws from ``rng`` in the same order and evaluates the same float
+    # expressions, so its results are identical to the per-call functions'.
+    masked = np.where(qt.feasible, qt.q, np.inf)
+    best_q = masked.min(axis=1)
+    best_a = masked.argmin(axis=1)
+    q = _flat_view(qt.q, "d")
+    visits = _flat_view(qt.visit_counts, "q")
+    feasible = _flat_view(np.ascontiguousarray(qt.feasible), "?")
+    succ = _flat_view(np.ascontiguousarray(kernel.succ_full, dtype=np.int64), "q")
+    cost = _flat_view(np.ascontiguousarray(kernel.cost, dtype=float), "d")
+    best_q_view = _flat_view(best_q, "d")
+    best_a_view = _flat_view(best_a, "q")
+    offsets = kernel.chan_offsets.tolist()  # one entry per channel combination
     n_combos = len(offsets)
+    actions = range(n_actions)
     trace = np.empty(total_slots)
+    trace_view = _flat_view(trace, "d")
     state_visits = np.zeros(kernel.total_states, dtype=np.int64)
+    state_visits_view = _flat_view(state_visits, "q")
     pin_slot = min(1000, max(1, total_slots // 5))
+    ref = qt.reference_state
+    random, integers = rng.random, rng.integers
     s = kernel.start_index
     for k in range(total_slots):
-        state_visits[s] += 1
+        state_visits_view[s] += 1
         if k == pin_slot:
-            qt.reference_state = int(state_visits.argmax())
-        a = epsilon_greedy(qt, s, schedule.epsilon(k), rng)
-        s_next = int(succ[s, a] + offsets[rng.integers(n_combos)])
-        q_update(qt, s, a, float(cost[s]), s_next, schedule.alpha(k))
-        trace[k] = qt.gain_estimate()
+            ref = qt.reference_state = int(state_visits.argmax())
+        row = s * n_actions
+        epsilon = schedule.epsilon(k)
+        if epsilon > 0 and random() < epsilon:
+            feas = [b for b in actions if feasible[row + b]]
+            a = feas[integers(len(feas))]
+        else:
+            a = best_a_view[s]
+        sa = row + a
+        s_next = succ[sa] + offsets[integers(n_combos)]
+        q[sa] += schedule.alpha(k) * (cost[s] + best_q_view[s_next] - best_q_view[ref] - q[sa])
+        visits[sa] += 1
+        best, best_action = np.inf, -1
+        for b in actions:
+            if feasible[row + b] and (best_action < 0 or q[row + b] < best):
+                best, best_action = q[row + b], b
+        best_q_view[s], best_a_view[s] = best, best_action
+        trace_view[k] = best_q_view[ref]
         s = s_next
     return qt, trace

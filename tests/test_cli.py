@@ -1,14 +1,23 @@
 """End-to-end command-line tests on a small scenario."""
 
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from aoi_rl.cli import main
+import aoi_rl
+from aoi_rl.cli import _write_trace_csv, main
+from aoi_rl.dqn import DqnHyperparams, train_dqn
 from aoi_rl.env import load_config
 from aoi_rl.mdp import build_kernel, enumerate_states, load_policy_csv, solve_rvia
+from aoi_rl.tabular import LearningSchedule, train_tabular
 
 
 @pytest.fixture
@@ -247,3 +256,71 @@ def test_simulate_stored_policy(tmp_path, config_path, capsys):
     assert "average weighted AoI:" in printed
     simulated = float(printed.split("average weighted AoI:")[1].split()[0])
     assert 1.0 <= simulated <= 3.0
+
+
+def _csv_writer_bytes(header, *columns) -> bytes:
+    """A ``csv.writer`` rendering of a trace: slot, then ``repr(float)`` fields."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for k in range(len(columns[0])):
+        writer.writerow([k, *(repr(float(c[k])) for c in columns)])
+    return buf.getvalue().encode()
+
+
+def test_trace_writer_matches_csv_writer(tmp_path):
+    values = np.array([0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1e22])
+    special = np.array([np.nan, np.inf, -np.inf, 123456789.0, 1.0 / 3.0, -0.0, 2.0**60, 7.0])
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, ["slot", "a", "b"], values, special)
+    assert path.read_bytes() == _csv_writer_bytes(["slot", "a", "b"], values, special)
+    _write_trace_csv(path, ["slot", "a"], values[:0])
+    assert path.read_bytes() == b"slot,a\r\n"
+
+
+def test_train_traces_match_csv_writer(tmp_path, config_path, capsys):
+    config = load_config(config_path)
+    for agent in ("tabular", "dqn"):
+        out = tmp_path / agent
+        args = ["train", "--config", str(config_path), "--agent", agent, "--slots", "700"]
+        assert main(args + ["--seed", "5", "--epsilon", "0.2", "--out", str(out)]) == 0
+        if agent == "tabular":
+            _, trace = train_tabular(config, 700, 5, schedule=LearningSchedule(eps0=0.2))
+            expected = _csv_writer_bytes(["slot", "gain_estimate"], trace)
+        else:
+            result = train_dqn(config, DqnHyperparams(total_slots=700, seed=5, eps0=0.2))
+            expected = _csv_writer_bytes(
+                ["slot", "gain_estimate", "epsilon", "loss"],
+                result.gain_trace,
+                result.epsilon_trace,
+                result.loss_trace,
+            )
+        assert (out / "trace.csv").read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):
+    """Only exact policy evaluation needs scipy.sparse; it loads on first use."""
+    src = str(Path(aoi_rl.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    script = f"""
+import sys
+import aoi_rl.cli
+from aoi_rl.env import load_config
+from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
+assert "scipy.sparse" not in sys.modules, "importing aoi_rl.cli loaded scipy.sparse"
+config = load_config({str(config_path)!r})
+kernel = build_kernel(config, enumerate_states(config))
+vt, pt = solve_rvia(kernel)
+assert "scipy.sparse" not in sys.modules, "solving loaded scipy.sparse"
+gain = evaluate_policy(kernel, pt.actions)
+assert abs(gain - vt.gain) <= 1e-9 * abs(vt.gain), (gain, vt.gain)
+assert "scipy.sparse" in sys.modules
+print("ok")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -16,7 +16,15 @@ from aoi_rl.dqn import (
     target_value,
     train_dqn,
 )
-from aoi_rl.env import SourceState, SystemState, feasible_actions, initial_state
+from aoi_rl.env import (
+    HARVEST,
+    SourceState,
+    SystemState,
+    feasible_actions,
+    harvested_quanta,
+    initial_state,
+    transmit_quanta,
+)
 from aoi_rl.errors import ContractError
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
 
@@ -201,6 +209,162 @@ def test_training_deterministic_per_seed(small_config):
     c = train_dqn(small_config, DqnHyperparams(total_slots=1500, seed=22))
     assert np.array_equal(a.gain_trace, b.gain_trace)
     assert not np.array_equal(a.gain_trace, c.gain_trace)
+
+
+class _ReferenceEnv:
+    """The training environment on small integer arrays, with its energy
+    tables taken straight from ``harvested_quanta``/``transmit_quanta``."""
+
+    def __init__(self, config, rng):
+        self.config = config
+        self.rng = rng
+        self.N = config.num_sources
+        self.e_t = [
+            [transmit_quanta(config, i, lv) for lv in range(1, s.link.levels_uplink + 1)]
+            for i, s in enumerate(config.sources)
+        ]
+        self.e_h = [
+            [harvested_quanta(config, i, lv) for lv in range(1, s.link.levels_downlink + 1)]
+            for i, s in enumerate(config.sources)
+        ]
+        self.caps = np.array([s.battery_quanta for s in config.sources])
+        self.aoi_caps = np.array([s.aoi_cap for s in config.sources])
+        self.weights = np.array([s.weight for s in config.sources])
+        self.G = np.array([s.link.levels_downlink for s in config.sources])
+        self.H = np.array([s.link.levels_uplink for s in config.sources])
+        self.b = self.caps.copy()
+        self.A = np.zeros(self.N, dtype=np.int64)
+        self.g = np.zeros(self.N, dtype=np.int64)
+        self.h = np.zeros(self.N, dtype=np.int64)
+
+    def encode(self):
+        raw = np.empty(4 * self.N)
+        raw[0::4] = self.b
+        raw[1::4] = self.A
+        raw[2::4] = self.g
+        raw[3::4] = self.h
+        denoms = []
+        for s in self.config.sources:
+            denoms += [
+                s.battery_quanta,
+                max(s.aoi_cap - 1, 1),
+                max(s.link.levels_downlink - 1, 1),
+                max(s.link.levels_uplink - 1, 1),
+            ]
+        return raw / np.array(denoms, dtype=float)
+
+    def feasible_mask(self):
+        mask = np.empty(self.N + 1, dtype=bool)
+        mask[0] = True
+        for i in range(self.N):
+            mask[i + 1] = self.b[i] >= self.e_t[i][self.h[i]]
+        return mask
+
+    def cost(self):
+        return float(self.weights @ (self.A + 1))
+
+    def step(self, action):
+        if action == HARVEST:
+            for i in range(self.N):
+                self.b[i] = min(self.caps[i], self.b[i] + self.e_h[i][self.g[i]])
+            self.A = np.minimum(self.aoi_caps - 1, self.A + 1)
+        else:
+            j = action - 1
+            self.b[j] -= self.e_t[j][self.h[j]]
+            self.A = np.minimum(self.aoi_caps - 1, self.A + 1)
+            self.A[j] = 0
+        self.g = self.rng.integers(0, self.G)
+        if self.config.correlated_links:
+            self.h = self.g.copy()
+        else:
+            self.h = self.rng.integers(0, self.H)
+
+
+def _reference_train_dqn(config, hyper):
+    """The training loop as it reads on the public per-call functions: a
+    snapshot copy at every refresh, ``batch_targets`` and ``forward`` with
+    their checks, and fresh encodings of every state."""
+    rng = np.random.default_rng(hyper.seed)
+    env = _ReferenceEnv(config, rng)
+    num_actions = config.num_sources + 1
+    sizes = [4 * config.num_sources, *hyper.hidden_sizes, num_actions]
+    net = QNetwork.create(sizes, rng)
+    snapshot = net.copy()
+    memory = ReplayMemory(hyper.replay_capacity, sizes[0], num_actions)
+    enc_ref = np.zeros(sizes[0])
+    ref_mask = np.zeros(num_actions, dtype=bool)
+    ref_mask[0] = True
+    for i in range(config.num_sources):
+        ref_mask[i + 1] = env.e_t[i][0] <= 0
+    gain_trace = np.empty(hyper.total_slots)
+    eps_trace = np.empty(hyper.total_slots)
+    loss_trace = np.full(hyper.total_slots, np.nan)
+    for k in range(hyper.total_slots):
+        if k % hyper.target_refresh == 0:
+            snapshot = net.copy()
+        eps = hyper.epsilon(k)
+        enc_s = env.encode()
+        mask = env.feasible_mask()
+        if rng.random() < eps:
+            feas = np.flatnonzero(mask)
+            action = int(feas[rng.integers(len(feas))])
+        else:
+            q = net.forward(enc_s)
+            action = int(np.argmin(np.where(mask, q, np.inf)))
+        cost = env.cost()
+        env.step(action)
+        memory.push(enc_s, action, cost, env.encode(), env.feasible_mask())
+        if memory.size >= hyper.batch_size:
+            idx = memory.sample(hyper.batch_size, rng)
+            targets = batch_targets(
+                snapshot,
+                memory.costs[idx],
+                memory.enc_next[idx],
+                memory.mask_next[idx],
+                enc_ref,
+                ref_mask,
+            )
+            loss_trace[k] = gradient_step(
+                net, memory.enc_s[idx], memory.actions[idx], targets, hyper.learning_rate
+            )
+        q_ref = net.forward(enc_ref)
+        gain_trace[k] = q_ref[ref_mask].min()
+        eps_trace[k] = eps
+    return net, gain_trace, eps_trace, loss_trace
+
+
+@pytest.mark.parametrize(
+    "config, hyper",
+    [
+        (make_config(), DqnHyperparams(total_slots=800, seed=0)),
+        (make_config(), DqnHyperparams(total_slots=800, seed=13)),
+        (
+            make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2),
+            DqnHyperparams(total_slots=800, seed=2),
+        ),
+        (make_config(correlated_links=True), DqnHyperparams(total_slots=800, seed=4)),
+        (make_config(), DqnHyperparams(total_slots=600, seed=6, eps0=0.0, eps_min=0.0)),
+        (make_config(), DqnHyperparams(total_slots=800, seed=8, target_refresh=3)),
+        (
+            make_config(levels=2),
+            DqnHyperparams(
+                total_slots=700, seed=10, target_refresh=50, replay_capacity=100, batch_size=8,
+                hidden_sizes=(16,), eps_interval=200,
+            ),
+        ),
+    ],
+    ids=["small-0", "small-13", "two-source", "correlated", "no-exploration", "refresh-3",
+         "refresh-50-ring"],
+)
+def test_training_matches_per_call_reference(config, hyper):
+    result = train_dqn(config, hyper)
+    net, gain_trace, eps_trace, loss_trace = _reference_train_dqn(config, hyper)
+    for ours, theirs in zip(result.network.weights + result.network.biases, net.weights + net.biases):
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(result.gain_trace, gain_trace)
+    assert np.array_equal(result.epsilon_trace, eps_trace)
+    assert np.array_equal(result.loss_trace, loss_trace, equal_nan=True)
+    assert np.isfinite(loss_trace[hyper.batch_size - 1:]).all()
 
 
 def test_epsilon_trace_follows_schedule(small_config):

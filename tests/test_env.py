@@ -1,6 +1,7 @@
 """Environment dynamics, energy arithmetic, and config I/O."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,11 @@ from aoi_rl.env import (
     step,
     transmit_quanta,
 )
+from aoi_rl.channel import sample_level
 from aoi_rl.errors import InfeasibleActionError, InvalidConfigError
+from aoi_rl.presets import with_packet_bits
 
-from conftest import make_config
+from conftest import make_config, random_tiny_config
 
 CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -221,6 +224,103 @@ def test_correlated_links_tie_levels_together():
     for state, _ in sim.trace:
         src = state.per_source[0]
         assert src.g_level == src.h_level
+
+
+def _table_configs():
+    rng = np.random.default_rng(17)
+    return [random_tiny_config(rng) for _ in range(30)] + [
+        make_config(distances=(25.0, 40.0), levels=5, levels_uplink=3),
+        make_config(rounding_mode="upper-bound", levels=8),
+        make_config(correlated_links=True, levels=6),
+    ]
+
+
+def test_quanta_tables_match_radio_arithmetic():
+    for cfg in _table_configs():
+        for i, spec in enumerate(cfg.sources):
+            down = range(1, spec.link.levels_downlink + 1)
+            up = range(1, spec.link.levels_uplink + 1)
+            assert cfg.harvest_table[i] == tuple(harvested_quanta(cfg, i, lv) for lv in down)
+            assert cfg.transmit_table[i] == tuple(transmit_quanta(cfg, i, lv) for lv in up)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            e_h, e_t = energy_tables(cfg)
+        assert [t.tolist() for t in e_h] == [list(t) for t in cfg.harvest_table]
+        assert [t.tolist() for t in e_t] == [list(t) for t in cfg.transmit_table]
+
+
+def test_quanta_tables_follow_replaced_fields():
+    cfg = make_config(levels=6)
+    long = with_packet_bits(cfg, 16e6)
+    assert long.transmit_table != cfg.transmit_table
+    assert long.transmit_table[0] == tuple(transmit_quanta(long, 0, lv) for lv in range(1, 7))
+
+
+def _reference_simulate(config, policy, horizon, seed):
+    """The rollout as it reads on the dataclasses and the radio arithmetic
+    alone: quanta recomputed every slot, channel levels drawn per source."""
+    rng = np.random.default_rng(seed)
+    state = initial_state(config)
+    total_cost, transmit_slots, trace = 0.0, 0, []
+    for _ in range(horizon):
+        action = policy(state)
+        if action != HARVEST:
+            src = state.per_source[action - 1]
+            if src.battery < transmit_quanta(config, action - 1, src.h_level):
+                raise InfeasibleActionError(f"policy chose {action} at {state}")
+        total_cost += sum(spec.weight * src.aoi for spec, src in zip(config.sources, state.per_source))
+        if action == 1 and config.num_sources == 1:
+            transmit_slots += 1
+        trace.append((state, action))
+        levels = []
+        for gq, hq in zip(config.downlink_quantizers, config.uplink_quantizers):
+            g = sample_level(gq, rng)
+            levels.append((g, g if config.correlated_links else sample_level(hq, rng)))
+        out = []
+        for j, (spec, src) in enumerate(zip(config.sources, state.per_source)):
+            if action == HARVEST:
+                battery = min(spec.battery_quanta, src.battery + harvested_quanta(config, j, src.g_level))
+            elif action == j + 1:
+                battery = src.battery - transmit_quanta(config, j, src.h_level)
+            else:
+                battery = src.battery
+            aoi = 1 if action == j + 1 else min(spec.aoi_cap, src.aoi + 1)
+            out.append(SourceState(battery=battery, aoi=aoi, g_level=levels[j][0], h_level=levels[j][1]))
+        state = SystemState(per_source=tuple(out))
+    throughput = transmit_slots * config.packet_bits / horizon if config.num_sources == 1 else None
+    return total_cost / horizon, throughput, trace
+
+
+def _affordable(config, state):
+    return [HARVEST] + [
+        i + 1
+        for i, src in enumerate(state.per_source)
+        if src.battery >= transmit_quanta(config, i, src.h_level)
+    ]
+
+
+def _policies(config):
+    def oldest_affordable(state):
+        acts = _affordable(config, state)
+        return max(acts, key=lambda a: (a != HARVEST and state.per_source[a - 1].aoi, -a))
+
+    def scrambled(state):
+        acts = _affordable(config, state)
+        key = sum((7 * k + 3) * (src.battery + 5 * src.aoi + 11 * src.g_level + 13 * src.h_level)
+                  for k, src in enumerate(state.per_source))
+        return acts[key % len(acts)]
+
+    return [lambda state: HARVEST, oldest_affordable, scrambled]
+
+
+def test_simulate_policy_matches_dataclass_reference():
+    for n, cfg in enumerate(_table_configs()):
+        for policy in _policies(cfg):
+            sim = simulate_policy(cfg, policy, 300, seed=n, record_trace=True)
+            avg, throughput, trace = _reference_simulate(cfg, policy, 300, seed=n)
+            assert sim.avg_weighted_aoi == avg
+            assert sim.avg_throughput_bits == throughput
+            assert sim.trace == trace
 
 
 # --- config construction and file I/O ------------------------------------

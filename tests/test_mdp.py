@@ -74,6 +74,16 @@ def test_indexer_round_trip(index):
     assert idx.state_to_index(idx.index_to_state(s)) == s
 
 
+def test_state_to_index_is_row_major_and_checked():
+    idx = enumerate_states(make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2))
+    grids = np.stack(idx.grids(), axis=1)
+    assert [idx.state_to_index(row) for row in grids] == list(range(idx.total_states))
+    assert idx.state_to_index(grids[-1].tolist()) == np.ravel_multi_index(tuple(grids[-1]), idx.dims)
+    for bad in ([0] * 7, [0] * 9, [3, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1]):
+        with pytest.raises(ValueError):
+            idx.state_to_index(bad)
+
+
 def test_canonical_start_state():
     cfg = make_config()
     idx = enumerate_states(cfg)

@@ -100,3 +100,57 @@ def test_trace_length_and_finiteness(small_config):
     _, trace = train_tabular(small_config, 500, seed=0)
     assert trace.shape == (500,)
     assert np.isfinite(trace).all()
+
+
+def _reference_train_tabular(config, total_slots, seed, schedule=None):
+    """The slot loop as it reads on the public per-call functions:
+    ``epsilon_greedy`` then ``q_update``, one numpy call at a time."""
+    if schedule is None:
+        schedule = LearningSchedule()
+    kernel = build_kernel(config, enumerate_states(config, "age"))
+    rng = np.random.default_rng(seed)
+    qt = QTable(
+        q=np.zeros((kernel.total_states, kernel.num_actions)),
+        feasible=kernel.feasible,
+        reference_state=kernel.start_index,
+    )
+    succ = kernel.succ_full
+    offsets = kernel.chan_offsets
+    n_combos = len(offsets)
+    trace = np.empty(total_slots)
+    state_visits = np.zeros(kernel.total_states, dtype=np.int64)
+    pin_slot = min(1000, max(1, total_slots // 5))
+    s = kernel.start_index
+    for k in range(total_slots):
+        state_visits[s] += 1
+        if k == pin_slot:
+            qt.reference_state = int(state_visits.argmax())
+        a = epsilon_greedy(qt, s, schedule.epsilon(k), rng)
+        s_next = int(succ[s, a] + offsets[rng.integers(n_combos)])
+        q_update(qt, s, a, float(kernel.cost[s]), s_next, schedule.alpha(k))
+        trace[k] = qt.gain_estimate()
+        s = s_next
+    return qt, trace
+
+
+@pytest.mark.parametrize(
+    "config, seed, schedule, slots",
+    [
+        (make_config(), 0, None, 6000),
+        (make_config(), 7, None, 6000),
+        (make_config(battery_quanta=2, aoi_cap=3, levels=2), 1, None, 4000),
+        (make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2), 3, None, 6000),
+        (make_config(correlated_links=True), 5, None, 5000),
+        (make_config(), 2, LearningSchedule(eps0=0.0), 4000),
+        (make_config(rounding_mode="upper-bound", levels=3, levels_uplink=2), 9, None, 300),
+    ],
+    ids=["small-0", "small-7", "tiny", "two-source", "correlated", "no-exploration", "short"],
+)
+def test_training_matches_per_call_reference(config, seed, schedule, slots):
+    qt, trace = train_tabular(config, slots, seed, schedule=schedule)
+    ref, ref_trace = _reference_train_tabular(config, slots, seed, schedule=schedule)
+    assert np.array_equal(qt.q, ref.q)
+    assert np.array_equal(qt.visit_counts, ref.visit_counts)
+    assert qt.reference_state == ref.reference_state
+    assert np.array_equal(trace, ref_trace)
+    assert qt.visit_counts.sum() == slots
