@@ -11,12 +11,13 @@ from .env import (
     HARVEST,
     SimulationResult,
     SourceSpec,
-    SourceState,
+    State,
     SystemConfig,
-    SystemState,
     config_from_dict,
+    draw_levels,
     feasible_actions,
     harvested_quanta,
+    initial_state,
     load_config,
     simulate_policy,
     stage_cost,
@@ -35,7 +36,7 @@ from .mdp import (
     solve_rvia,
 )
 from .tabular import LearningSchedule, QTable, epsilon_greedy, q_update, train_tabular
-from .dqn import DqnHyperparams, QNetwork, ReplayMemory, encode_state, train_dqn
+from .dqn import DqnHyperparams, QNetwork, ReplayMemory, encode_state, greedy_policy_fn, train_dqn
 from .structure import (
     check_threshold_aoi,
     check_threshold_single_source,

@@ -211,10 +211,7 @@ def cmd_simulate(args) -> int:
         table, _ = load_policy_csv(artifact, indexer)
 
         def policy(state):
-            values = []
-            for k, src in enumerate(state.per_source):
-                values += [src.battery, src.aoi - 1, src.g_level - 1, src.h_level - 1]
-            return int(table[indexer.state_to_index(values)])
+            return int(table[indexer.state_to_index(state)])
 
     sim = simulate_policy(config, policy, args.slots, args.seed)
     print(f"average weighted AoI: {sim.avg_weighted_aoi:.6g}")

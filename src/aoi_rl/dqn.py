@@ -4,16 +4,21 @@ The function approximator is a small fully-connected rectifier network
 written directly in numpy so that the analytic gradient can be checked
 against finite differences parameter by parameter. Infeasible actions are
 masked both at action selection and inside the target minima.
+
+Training interacts with the environment through ``env.step`` on the
+state tuple, so it needs no enumeration of the state space. The network
+input is that tuple scaled into [0, 1] per variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .env import HARVEST, SystemConfig, SystemState, energy_tables
+from . import env
+from .env import State, SystemConfig
 from .errors import ContractError
 from .mdp import StateIndexer, TransitionKernel
 
@@ -163,35 +168,13 @@ def _encoding_denominators(config: SystemConfig) -> np.ndarray:
     return np.array(denoms, dtype=float)
 
 
-def _state_values(state: SystemState) -> np.ndarray:
-    """Per-source (battery, AoI, downlink, uplink), all 0-based."""
-    raw = []
-    for src in state.per_source:
-        raw += [src.battery, src.aoi - 1, src.g_level - 1, src.h_level - 1]
-    return np.array(raw, dtype=float)
-
-
-def encode_state(config: SystemConfig, state: SystemState) -> np.ndarray:
+def encode_state(config: SystemConfig, state: State) -> np.ndarray:
     """Per-source (battery, AoI, downlink, uplink) scaled into [0, 1]."""
-    return _state_values(state) / _encoding_denominators(config)
+    return np.asarray(state, dtype=float) / _encoding_denominators(config)
 
 
 # ---------------------------------------------------------------------------
 # loss, targets and the gradient step
-
-
-def target_value(
-    prev_net: QNetwork,
-    cost: float,
-    enc_next: np.ndarray,
-    mask_next: np.ndarray,
-    enc_ref: np.ndarray,
-    mask_ref: np.ndarray,
-) -> float:
-    """Relative-Bellman target using the snapshot weights."""
-    q_next = prev_net.forward(enc_next)
-    q_ref = prev_net.forward(enc_ref)
-    return float(cost + q_next[mask_next].min() - q_ref[mask_ref].min())
 
 
 def batch_targets(prev_net, costs, enc_next, masks_next, enc_ref, mask_ref) -> np.ndarray:
@@ -250,87 +233,27 @@ def gradient_step(net: QNetwork, enc_batch, actions, targets, learning_rate: flo
 # training loop (sequential environment interaction)
 
 
-class _FastEnv:
-    """Index-free environment on small integer arrays, for the training
-    loop where the state space may be far too large to enumerate."""
-
-    def __init__(self, config: SystemConfig, rng: np.random.Generator):
-        self.config = config
-        self.rng = rng
-        self.N = config.num_sources
-        self.e_h, self.e_t = energy_tables(config)
-        self.caps = np.array([s.battery_quanta for s in config.sources])
-        self.aoi_caps = np.array([s.aoi_cap for s in config.sources])
-        self.weights = np.array([s.weight for s in config.sources])
-        self.G = np.array([s.link.levels_downlink for s in config.sources])
-        self.H = np.array([s.link.levels_uplink for s in config.sources])
-        self.denoms = _encoding_denominators(config)
-        self.reset()
-
-    def reset(self):
-        self.b = self.caps.copy()
-        self.A = np.zeros(self.N, dtype=np.int64)  # 0-based
-        self.g = np.zeros(self.N, dtype=np.int64)
-        self.h = np.zeros(self.N, dtype=np.int64)
-
-    def encode(self) -> np.ndarray:
-        raw = np.empty(4 * self.N)
-        raw[0::4] = self.b
-        raw[1::4] = self.A
-        raw[2::4] = self.g
-        raw[3::4] = self.h
-        return raw / self.denoms
-
-    def feasible_mask(self) -> np.ndarray:
-        mask = np.empty(self.N + 1, dtype=bool)
-        mask[0] = True
-        for i in range(self.N):
-            mask[i + 1] = self.b[i] >= self.e_t[i][self.h[i]]
-        return mask
-
-    def cost(self) -> float:
-        return float(self.weights @ (self.A + 1))
-
-    def step(self, action: int) -> None:
-        if action == HARVEST:
-            for i in range(self.N):
-                self.b[i] = min(self.caps[i], self.b[i] + self.e_h[i][self.g[i]])
-            self.A = np.minimum(self.aoi_caps - 1, self.A + 1)
-        else:
-            j = action - 1
-            self.b[j] -= self.e_t[j][self.h[j]]
-            self.A = np.minimum(self.aoi_caps - 1, self.A + 1)
-            self.A[j] = 0
-        self.g = self.rng.integers(0, self.G)
-        if self.config.correlated_links:
-            self.h = self.g.copy()
-        else:
-            self.h = self.rng.integers(0, self.H)
-
-
 @dataclass
 class DqnResult:
     network: QNetwork
     gain_trace: np.ndarray
     epsilon_trace: np.ndarray
     loss_trace: np.ndarray
-    greedy_policy: Callable[[SystemState], int]
+    greedy_policy: Callable[[State], int]
     config: SystemConfig = field(repr=False, default=None)
 
 
-def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[SystemState], int]:
-    """Map any system state to the feasible action with the lowest Q-value."""
-    from .env import feasible_actions
-
+def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[State], int]:
+    """Map any state tuple to the feasible action with the lowest Q-value."""
     denoms = _encoding_denominators(config)
     if net.layer_sizes[0] != len(denoms):
         raise ContractError(
             f"network input {net.layer_sizes[0]} != state encoding width {len(denoms)}"
         )
 
-    def policy(state: SystemState) -> int:
-        q = net._forward((_state_values(state) / denoms)[None, :])[0]
-        feas = feasible_actions(config, state)
+    def policy(state: State) -> int:
+        q = net._forward((np.asarray(state, dtype=float) / denoms)[None, :])[0]
+        feas = env.feasible_actions(config, state)
         return min(feas, key=lambda a: (q[a], a))
 
     return policy
@@ -349,18 +272,20 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     network had when it was taken, so neither is recomputed.
     """
     rng = np.random.default_rng(hyper.seed)
-    env = _FastEnv(config, rng)
     num_actions = config.num_sources + 1
     sizes = [4 * config.num_sources, *hyper.hidden_sizes, num_actions]
     net = QNetwork.create(sizes, rng)
     memory = ReplayMemory(hyper.replay_capacity, sizes[0], num_actions)
+    denoms = _encoding_denominators(config)
 
-    # reference state: empty battery, fresh information, lowest levels
-    enc_ref = np.zeros(sizes[0])
-    ref_mask = np.zeros(num_actions, dtype=bool)
-    ref_mask[0] = True
-    for i in range(config.num_sources):
-        ref_mask[i + 1] = env.e_t[i][0] <= 0
+    def observe(state: State) -> tuple[np.ndarray, np.ndarray]:
+        """Encoding and feasible-action mask of a state."""
+        mask = np.zeros(num_actions, dtype=bool)
+        mask[env.feasible_actions(config, state)] = True
+        return np.asarray(state, dtype=float) / denoms, mask
+
+    # reference state: empty batteries, fresh information, lowest levels
+    enc_ref, ref_mask = observe((0,) * sizes[0])
 
     gain_trace = np.empty(hyper.total_slots)
     eps_trace = np.empty(hyper.total_slots)
@@ -368,7 +293,8 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
 
     enc_ref_row = enc_ref[None, :]
     ref_best = net._forward(enc_ref_row)[0][ref_mask].min()  # of the live network
-    enc_s, mask = env.encode(), env.feasible_mask()
+    state = env.initial_state(config)
+    enc_s, mask = observe(state)
     for k in range(hyper.total_slots):
         if k % hyper.target_refresh == 0:
             snapshot = net if hyper.target_refresh == 1 else net.copy()
@@ -380,9 +306,9 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
         else:
             q = net._forward(enc_s[None, :])[0]
             action = int(np.argmin(np.where(mask, q, np.inf)))
-        cost = env.cost()
-        env.step(action)
-        enc_next, mask_next = env.encode(), env.feasible_mask()
+        cost = env.stage_cost(config, state)
+        state = env.step(config, state, action, env.draw_levels(config, rng))
+        enc_next, mask_next = observe(state)
         memory.push(enc_s, action, cost, enc_next, mask_next)
 
         if memory.size >= hyper.batch_size:

@@ -1,8 +1,15 @@
-"""System state, per-slot dynamics, energy arithmetic, and a step simulator.
+"""System configuration, energy arithmetic, and the one per-slot stepper.
 
 Actions are plain ints: 0 harvests (the destination beams RF power to all
 sources), i in 1..N transmits an update packet from source i. All energy
 bookkeeping is in integer battery quanta of B_max,i / b_max,i joules each.
+
+A state is a flat tuple of 0-based ints, (b_i, A_i - 1, g_i - 1, h_i - 1)
+per source: battery quanta, AoI less one and the downlink and uplink
+channel levels less one. This is the variable order of the enumerated age
+state space, so ``StateIndexer.state_to_index(state)`` indexes it directly.
+``step`` is the only implementation of the slot dynamics outside the exact
+kernel; the policy rollouts and the DQN training loop both run on it.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
@@ -19,6 +26,10 @@ from .channel import FadingQuantizer, LinkParams, build_quantizer, sample_level
 from .errors import InfeasibleActionError, InvalidConfigError
 
 HARVEST = 0
+
+State = tuple[int, ...]
+# next-slot channel levels, 0-based: (downlink per source, uplink per source)
+Levels = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def action_name(action: int) -> str:
@@ -67,7 +78,6 @@ class SystemConfig:
     packet_bits: float
     bandwidth_hz: float
     rounding_mode: str = "lower-bound"
-    seed: int = 0
     correlated_links: bool = False
 
     # derived, filled in __post_init__
@@ -79,6 +89,7 @@ class SystemConfig:
     # needed to transmit over uplink levels
     harvest_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     transmit_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sources:
@@ -115,6 +126,7 @@ class SystemConfig:
             tuple(transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1))
             for i, s in enumerate(self.sources)
         )
+        self.weights = np.array([s.weight for s in self.sources])
 
     @property
     def num_sources(self) -> int:
@@ -127,19 +139,6 @@ class SystemConfig:
         Single named conversion point for the Shannon-rate exponent.
         """
         return self.packet_bits / self.bandwidth_hz
-
-
-@dataclass(frozen=True)
-class SourceState:
-    battery: int  # quanta in [0, b_max]
-    aoi: int  # slots in [1, A_max]
-    g_level: int  # downlink level in [1, G]
-    h_level: int  # uplink level in [1, H]
-
-
-@dataclass(frozen=True)
-class SystemState:
-    per_source: tuple[SourceState, ...]
 
 
 def harvested_quanta(config: SystemConfig, source_index: int, g_level: int) -> int:
@@ -193,75 +192,58 @@ def energy_tables(config: SystemConfig) -> tuple[list[np.ndarray], list[np.ndarr
     return e_h, e_t
 
 
-def _can_transmit(config: SystemConfig, state: SystemState, action: int) -> bool:
-    """Whether ``action`` names a source whose battery covers its uplink cost."""
-    if not 0 < action <= config.num_sources:
-        return False
-    src = state.per_source[action - 1]
-    return src.battery >= config.transmit_table[action - 1][src.h_level - 1]
-
-
-def feasible_actions(config: SystemConfig, state: SystemState) -> list[int]:
+def feasible_actions(config: SystemConfig, state: State) -> list[int]:
     """Harvest plus every transmit whose battery covers the uplink cost."""
     return [HARVEST] + [
-        a for a in range(1, config.num_sources + 1) if _can_transmit(config, state, a)
+        i + 1
+        for i, table in enumerate(config.transmit_table)
+        if state[4 * i] >= table[state[4 * i + 3]]
     ]
 
 
-def step(
-    config: SystemConfig,
-    state: SystemState,
-    action: int,
-    next_levels: Sequence[tuple[int, int]],
-) -> SystemState:
-    """Apply one slot of battery/AoI dynamics and swap in new channel levels."""
-    if action != HARVEST:
-        i = action - 1
-        src = state.per_source[i]
-        cost = config.transmit_table[i][src.h_level - 1]
-        if src.battery < cost:
-            raise InfeasibleActionError(
-                f"transmit from source {action} needs {cost} quanta, "
-                f"battery has {src.battery}"
-            )
+def step(config: SystemConfig, state: State, action: int, levels: Levels) -> State:
+    """Apply one slot of battery/AoI dynamics and swap in the drawn channel levels.
+
+    Raises ``InfeasibleActionError`` for an action outside 0..N or a
+    transmission the battery cannot pay for.
+    """
+    i = action - 1
+    if action != HARVEST and not (
+        0 <= i < config.num_sources and state[4 * i] >= config.transmit_table[i][state[4 * i + 3]]
+    ):
+        raise InfeasibleActionError(f"action {action_name(action)} is infeasible in state {state}")
+    down, up = levels
     out = []
-    for j, src in enumerate(state.per_source):
-        spec = config.sources[j]
+    for j, spec in enumerate(config.sources):
+        b, age, g, h = state[4 * j : 4 * j + 4]
         if action == HARVEST:
-            battery = min(spec.battery_quanta, src.battery + config.harvest_table[j][src.g_level - 1])
+            b = min(spec.battery_quanta, b + config.harvest_table[j][g])
         elif action == j + 1:
-            battery = src.battery - config.transmit_table[j][src.h_level - 1]
-        else:
-            battery = src.battery
-        aoi = 1 if action == j + 1 else min(spec.aoi_cap, src.aoi + 1)
-        g, h = next_levels[j]
-        out.append(SourceState(battery=battery, aoi=aoi, g_level=g, h_level=h))
-    return SystemState(per_source=tuple(out))
+            b -= config.transmit_table[j][h]
+        out += (b, 0 if action == j + 1 else min(spec.aoi_cap - 1, age + 1), down[j], up[j])
+    return tuple(out)
 
 
-def stage_cost(config: SystemConfig, state: SystemState) -> float:
+def stage_cost(config: SystemConfig, state: State) -> float:
     """Weighted sum of the current AoI values."""
-    return sum(spec.weight * src.aoi for spec, src in zip(config.sources, state.per_source))
+    return float(config.weights @ (np.array(state[1::4]) + 1))
 
 
-def initial_state(config: SystemConfig) -> SystemState:
+def initial_state(config: SystemConfig) -> State:
     """Canonical start: full batteries, fresh information, lowest levels."""
-    return SystemState(
-        per_source=tuple(
-            SourceState(battery=s.battery_quanta, aoi=1, g_level=1, h_level=1)
-            for s in config.sources
-        )
-    )
+    return tuple(v for s in config.sources for v in (s.battery_quanta, 0, 0, 0))
 
 
-def draw_levels(config: SystemConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Sample next-slot channel levels for every source."""
-    levels = []
-    for gq, hq in zip(config.downlink_quantizers, config.uplink_quantizers):
-        g = sample_level(gq, rng)
-        h = g if config.correlated_links else sample_level(hq, rng)
-        levels.append((g, h))
-    return levels
+def draw_levels(config: SystemConfig, rng: np.random.Generator) -> Levels:
+    """Sample next-slot 0-based channel levels as (downlinks, uplinks).
+
+    Every source's downlink is drawn before any uplink; correlated links
+    reuse the downlink levels as the uplink levels.
+    """
+    down = tuple(sample_level(q, rng) - 1 for q in config.downlink_quantizers)
+    if config.correlated_links:
+        return down, down
+    return down, tuple(sample_level(q, rng) - 1 for q in config.uplink_quantizers)
 
 
 @dataclass
@@ -273,7 +255,7 @@ class SimulationResult:
 
 def simulate_policy(
     config: SystemConfig,
-    policy: Callable[[SystemState], int],
+    policy: Callable[[State], int],
     horizon: int,
     seed: int,
     record_trace: bool = False,
@@ -281,7 +263,9 @@ def simulate_policy(
     """Run the chain for ``horizon`` slots from the canonical start state.
 
     Averages over slots 0..horizon-1 (i.e. 1/(K+1) with K = horizon-1).
-    Throughput is reported for the single-source case only.
+    Throughput is reported for the single-source case only. ``policy``
+    receives the state tuple; an infeasible choice raises
+    ``InfeasibleActionError``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -292,8 +276,6 @@ def simulate_policy(
     trace = [] if record_trace else None
     for _ in range(horizon):
         action = policy(state)
-        if action != HARVEST and not _can_transmit(config, state, action):
-            raise InfeasibleActionError(f"policy chose {action_name(action)} at {state}")
         total_cost += stage_cost(config, state)
         if action == 1 and config.num_sources == 1:
             transmit_slots += 1
@@ -315,7 +297,7 @@ _CONFIG_KEYS = frozenset(
     {
         "tx_power_dbm", "harvest_efficiency", "noise_power_dbm", "bandwidth_mhz",
         "reference_gain", "path_loss_exponent", "rounding_mode", "packet_mbits",
-        "seed", "correlated_links", "sources",
+        "correlated_links", "sources",
     }
 )
 _SOURCE_KEYS = frozenset(
@@ -369,7 +351,6 @@ def config_from_dict(data: dict) -> SystemConfig:
             packet_bits=float(data["packet_mbits"]) * 1e6,
             bandwidth_hz=float(data["bandwidth_mhz"]) * 1e6,
             rounding_mode=data.get("rounding_mode", "lower-bound"),
-            seed=int(data.get("seed", 0)),
             correlated_links=bool(data.get("correlated_links", False)),
         )
     except KeyError as exc:

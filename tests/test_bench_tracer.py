@@ -1,0 +1,41 @@
+"""The benchmark's in-process tracer (``bench/spans.py``) still finds every
+name it wraps, so a rename in the package cannot break a traced run."""
+
+import importlib.util
+from pathlib import Path
+
+from aoi_rl import cli, dqn, env, mdp, tabular
+from aoi_rl.dqn import DqnHyperparams
+from aoi_rl.presets import learning_benchmark
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_counts_and_unpatches():
+    spans = _load_spans()
+    owners = (cli, dqn, env, mdp, tabular, dqn.QNetwork, dqn.ReplayMemory, mdp.TransitionKernel)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)  # a KeyError here names a wrapped function that is gone
+        config = learning_benchmark()
+        result = cli.train_dqn(config, DqnHyperparams(total_slots=40, seed=0))
+        policy = cli.greedy_policy_fn(result.network, config)
+        cli.simulate_policy(config, policy, 5, 0)
+    finally:
+        tracer.unpatch()
+    calls = {name: c for name, (_, _, c) in tracer.summary().items()}
+    assert calls["dqn.train_dqn"] == 1
+    assert calls["env.simulate_policy"] == 1
+    assert calls["dqn.greedy_policy"] == 5
+    # training and rollouts step through the same env functions: 40 + 5 slots
+    assert calls["env.step"] == calls["env.draw_levels"] == 40 + 5
+    assert tracer.counts["channel.sample_level.calls"] == 2 * (40 + 5)
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -13,13 +13,10 @@ from aoi_rl.dqn import (
     greedy_policy_fn,
     loss_and_grads,
     tabulate_policy,
-    target_value,
     train_dqn,
 )
 from aoi_rl.env import (
     HARVEST,
-    SourceState,
-    SystemState,
     feasible_actions,
     harvested_quanta,
     initial_state,
@@ -35,8 +32,8 @@ from conftest import make_config
 
 
 def test_encode_extremes(small_config):
-    lo = SystemState((SourceState(battery=0, aoi=1, g_level=1, h_level=1),))
-    hi = SystemState((SourceState(battery=3, aoi=4, g_level=4, h_level=4),))
+    lo = (0, 0, 0, 0)  # empty battery, AoI 1, lowest levels
+    hi = (3, 3, 3, 3)  # full battery, AoI 4, highest levels
     assert encode_state(small_config, lo) == pytest.approx(np.zeros(4))
     assert encode_state(small_config, hi) == pytest.approx(np.ones(4))
 
@@ -164,6 +161,13 @@ def test_analytic_gradient_matches_finite_differences():
     for a, b in zip(gw + gb, fw + fb):
         scale = max(np.abs(b).max(), 1e-8)
         assert np.abs(a - b).max() / scale < 1e-5
+
+
+def target_value(prev_net, cost, enc_next, mask_next, enc_ref, mask_ref) -> float:
+    """Relative-Bellman target of one experience using the snapshot weights."""
+    q_next = prev_net.forward(enc_next)
+    q_ref = prev_net.forward(enc_ref)
+    return float(cost + q_next[mask_next].min() - q_ref[mask_ref].min())
 
 
 def test_batch_targets_match_scalar_targets():
@@ -342,6 +346,12 @@ def _reference_train_dqn(config, hyper):
             make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2),
             DqnHyperparams(total_slots=800, seed=2),
         ),
+        (
+            # weights 1/3 and AoIs up to 10: a left-to-right sum of the weighted
+            # AoIs differs from the reference's dot product in the last bit
+            make_config(distances=(25.0, 40.0, 20.0), battery_quanta=2, aoi_cap=10, levels=3),
+            DqnHyperparams(total_slots=800, seed=3),
+        ),
         (make_config(correlated_links=True), DqnHyperparams(total_slots=800, seed=4)),
         (make_config(), DqnHyperparams(total_slots=600, seed=6, eps0=0.0, eps_min=0.0)),
         (make_config(), DqnHyperparams(total_slots=800, seed=8, target_refresh=3)),
@@ -353,8 +363,8 @@ def _reference_train_dqn(config, hyper):
             ),
         ),
     ],
-    ids=["small-0", "small-13", "two-source", "correlated", "no-exploration", "refresh-3",
-         "refresh-50-ring"],
+    ids=["small-0", "small-13", "two-source", "three-source", "correlated", "no-exploration",
+         "refresh-3", "refresh-50-ring"],
 )
 def test_training_matches_per_call_reference(config, hyper):
     result = train_dqn(config, hyper)
@@ -375,7 +385,7 @@ def test_epsilon_trace_follows_schedule(small_config):
 
 def test_greedy_policy_only_feasible_actions(small_config):
     result = train_dqn(small_config, DqnHyperparams(total_slots=2000, seed=3))
-    state = SystemState((SourceState(battery=0, aoi=2, g_level=1, h_level=1),))
+    state = (0, 1, 0, 0)  # empty battery, AoI 2, lowest levels
     assert result.greedy_policy(state) in feasible_actions(small_config, state)
 
 
@@ -386,9 +396,7 @@ def test_tabulated_policy_matches_pointwise_greedy(small_config):
     policy = greedy_policy_fn(result.network, small_config)
     idx = kernel.indexer
     for s in range(0, kernel.total_states, 13):
-        b, A, g, h = idx.index_to_state(s)
-        state = SystemState((SourceState(battery=b, aoi=A + 1, g_level=g + 1, h_level=h + 1),))
-        assert table[s] == policy(state)
+        assert table[s] == policy(idx.index_to_state(s))
 
 
 def test_tabulate_policy_requires_age_space(small_config):

@@ -1,5 +1,7 @@
 """Environment dynamics, energy arithmetic, and config I/O."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -12,8 +14,6 @@ from hypothesis import strategies as st
 
 from aoi_rl.env import (
     HARVEST,
-    SourceState,
-    SystemState,
     action_name,
     config_from_dict,
     energy_tables,
@@ -29,6 +29,7 @@ from aoi_rl.env import (
 )
 from aoi_rl.channel import sample_level
 from aoi_rl.errors import InfeasibleActionError, InvalidConfigError
+from aoi_rl.mdp import build_kernel, enumerate_states
 from aoi_rl.presets import with_packet_bits
 
 from conftest import make_config, random_tiny_config
@@ -93,81 +94,124 @@ def test_energy_tables_warn_when_transmission_impossible():
 # --- per-slot dynamics ----------------------------------------------------
 
 
+# states are (battery, AoI - 1, downlink - 1, uplink - 1) per source; channel
+# levels are ((downlinks...), (uplinks...)), 0-based
+ONE_LEVEL = ((0,), (0,))
+
+
 def test_step_harvest_caps_battery_and_ages():
     cfg = make_config(levels=1)
-    state = SystemState((SourceState(battery=2, aoi=1, g_level=1, h_level=1),))
-    nxt = step(cfg, state, HARVEST, [(1, 1)])
-    src = nxt.per_source[0]
-    assert src.battery == 3  # 2 + 8 harvested, clamped at b_max = 3
-    assert src.aoi == 2
+    battery, aoi, _, _ = step(cfg, (2, 0, 0, 0), HARVEST, ONE_LEVEL)
+    assert battery == 3  # 2 + 8 harvested, clamped at b_max = 3
+    assert aoi + 1 == 2
 
 
 def test_step_transmit_resets_aoi_and_spends_energy():
     cfg = make_config(levels=1)
-    state = SystemState((SourceState(battery=3, aoi=4, g_level=1, h_level=1),))
-    nxt = step(cfg, state, 1, [(1, 1)])
-    src = nxt.per_source[0]
-    assert src.battery == 2
-    assert src.aoi == 1
+    battery, aoi, _, _ = step(cfg, (3, 3, 0, 0), 1, ONE_LEVEL)
+    assert battery == 2
+    assert aoi + 1 == 1
 
 
 def test_step_aoi_saturates_at_cap():
     cfg = make_config(levels=1, aoi_cap=4)
-    state = SystemState((SourceState(battery=0, aoi=4, g_level=1, h_level=1),))
-    nxt = step(cfg, state, HARVEST, [(1, 1)])
-    assert nxt.per_source[0].aoi == 4
+    assert step(cfg, (0, 3, 0, 0), HARVEST, ONE_LEVEL)[1] + 1 == 4
 
 
 def test_step_infeasible_transmit_raises():
     cfg = make_config(levels=1)
-    state = SystemState((SourceState(battery=0, aoi=1, g_level=1, h_level=1),))
     with pytest.raises(InfeasibleActionError):
-        step(cfg, state, 1, [(1, 1)])
+        step(cfg, (0, 0, 0, 0), 1, ONE_LEVEL)
+
+
+@pytest.mark.parametrize("action", [-1, 2, 5])
+def test_step_out_of_range_action_raises(action):
+    cfg = make_config(levels=1)
+    with pytest.raises(InfeasibleActionError):
+        step(cfg, (3, 0, 0, 0), action, ONE_LEVEL)
 
 
 def test_step_two_sources_only_chosen_source_resets():
     cfg = make_config(distances=(25.0, 40.0), levels=1)
-    state = SystemState(
-        (
-            SourceState(battery=3, aoi=2, g_level=1, h_level=1),
-            SourceState(battery=1, aoi=2, g_level=1, h_level=1),
-        )
-    )
-    nxt = step(cfg, state, 1, [(1, 1), (1, 1)])
-    assert nxt.per_source[0].aoi == 1
-    assert nxt.per_source[1].aoi == 3
-    assert nxt.per_source[1].battery == 1  # untouched while source 1 transmits
+    nxt = step(cfg, (3, 1, 0, 0, 1, 1, 0, 0), 1, ((0, 0), (0, 0)))
+    assert nxt[1] + 1 == 1
+    assert nxt[5] + 1 == 3
+    assert nxt[4] == 1  # untouched while source 1 transmits
 
 
 def test_stage_cost_weighted_sum():
     cfg = make_config(distances=(25.0, 40.0), weights=[0.25, 0.75])
-    state = SystemState(
-        (
-            SourceState(battery=0, aoi=2, g_level=1, h_level=1),
-            SourceState(battery=0, aoi=4, g_level=1, h_level=1),
-        )
-    )
-    assert stage_cost(cfg, state) == pytest.approx(0.25 * 2 + 0.75 * 4)
+    assert stage_cost(cfg, (0, 1, 0, 0, 0, 3, 0, 0)) == pytest.approx(0.25 * 2 + 0.75 * 4)
 
 
 def test_feasible_actions_depend_on_battery_and_uplink():
     cfg = make_config(levels=1)
-    rich = SystemState((SourceState(battery=3, aoi=1, g_level=1, h_level=1),))
-    poor = SystemState((SourceState(battery=0, aoi=1, g_level=1, h_level=1),))
-    assert feasible_actions(cfg, rich) == [HARVEST, 1]
-    assert feasible_actions(cfg, poor) == [HARVEST]
+    assert feasible_actions(cfg, (3, 0, 0, 0)) == [HARVEST, 1]
+    assert feasible_actions(cfg, (0, 0, 0, 0)) == [HARVEST]
 
 
 @given(battery=st.integers(0, 3), aoi=st.integers(1, 4), action=st.integers(0, 1))
 @settings(max_examples=80, deadline=None)
 def test_step_keeps_state_in_bounds(battery, aoi, action):
     cfg = make_config(levels=1)
-    state = SystemState((SourceState(battery=battery, aoi=aoi, g_level=1, h_level=1),))
     if action == 1 and battery < transmit_quanta(cfg, 0, 1):
         return
-    nxt = step(cfg, state, action, [(1, 1)]).per_source[0]
-    assert 0 <= nxt.battery <= 3
-    assert 1 <= nxt.aoi <= 4
+    nxt_battery, nxt_aoi, _, _ = step(cfg, (battery, aoi - 1, 0, 0), action, ONE_LEVEL)
+    assert 0 <= nxt_battery <= 3
+    assert 1 <= nxt_aoi + 1 <= 4
+
+
+# packet sizes chosen so that transmit costs differ across uplink levels
+STEPPER_CASES = {
+    "one-source": make_config(levels=3, levels_uplink=2, packet_mbits=15.0),
+    "two-source": make_config(
+        distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2, levels_uplink=3,
+        weights=[0.3, 0.7], packet_mbits=16.0,
+    ),
+    "correlated": make_config(
+        distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=3, correlated_links=True,
+        packet_mbits=15.0,
+    ),
+    "upper-bound": make_config(levels=4, rounding_mode="upper-bound"),
+}
+
+
+def _level_combos(config):
+    """(downlinks, uplinks) per channel combination, in the kernel's order:
+    per source its downlink then its uplink group (one shared group under
+    correlated links), the first group varying slowest."""
+    groups = []
+    for spec in config.sources:
+        groups.append(range(spec.link.levels_downlink))
+        if not config.correlated_links:
+            groups.append(range(spec.link.levels_uplink))
+    for combo in itertools.product(*groups):
+        if config.correlated_links:
+            yield combo, combo
+        else:
+            yield combo[0::2], combo[1::2]
+
+
+@pytest.mark.parametrize("name", list(STEPPER_CASES))
+def test_stepper_matches_kernel(name):
+    """The slot stepper against the exact kernel, built independently by
+    array arithmetic: every state, action and channel combination."""
+    cfg = STEPPER_CASES[name]
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    index = kernel.indexer.state_to_index
+    combos = list(_level_combos(cfg))
+    assert len(combos) == len(kernel.chan_offsets)
+    for s in range(kernel.total_states):
+        state = kernel.indexer.index_to_state(s)
+        assert feasible_actions(cfg, state) == kernel.feasible_action_list(s)
+        assert stage_cost(cfg, state) == pytest.approx(kernel.cost[s], abs=1e-12, rel=0)
+        for a in range(kernel.num_actions):
+            if not kernel.feasible[s, a]:
+                with pytest.raises(InfeasibleActionError):
+                    step(cfg, state, a, combos[0])
+                continue
+            landed = [index(step(cfg, state, a, levels)) for levels in combos]
+            assert landed == (kernel.succ_full[s, a] + kernel.chan_offsets).tolist()
 
 
 def test_action_names_round_trip():
@@ -222,8 +266,7 @@ def test_correlated_links_tie_levels_together():
     cfg = make_config(correlated_links=True)
     sim = simulate_policy(cfg, lambda s: HARVEST, 500, seed=1, record_trace=True)
     for state, _ in sim.trace:
-        src = state.per_source[0]
-        assert src.g_level == src.h_level
+        assert state[2] == state[3]
 
 
 def _table_configs():
@@ -256,37 +299,39 @@ def test_quanta_tables_follow_replaced_fields():
     assert long.transmit_table[0] == tuple(transmit_quanta(long, 0, lv) for lv in range(1, 7))
 
 
+def _sources(state):
+    """Per source (battery, AoI, downlink level, uplink level), AoI and levels 1-based."""
+    return [(b, a + 1, g + 1, h + 1) for b, a, g, h in zip(*[iter(state)] * 4)]
+
+
 def _reference_simulate(config, policy, horizon, seed):
-    """The rollout as it reads on the dataclasses and the radio arithmetic
-    alone: quanta recomputed every slot, channel levels drawn per source."""
+    """The rollout as it reads on the radio arithmetic alone: quanta
+    recomputed every slot, every downlink level drawn before any uplink."""
     rng = np.random.default_rng(seed)
     state = initial_state(config)
     total_cost, transmit_slots, trace = 0.0, 0, []
     for _ in range(horizon):
         action = policy(state)
+        sources = _sources(state)
         if action != HARVEST:
-            src = state.per_source[action - 1]
-            if src.battery < transmit_quanta(config, action - 1, src.h_level):
+            battery, _, _, h_level = sources[action - 1]
+            if battery < transmit_quanta(config, action - 1, h_level):
                 raise InfeasibleActionError(f"policy chose {action} at {state}")
-        total_cost += sum(spec.weight * src.aoi for spec, src in zip(config.sources, state.per_source))
+        total_cost += sum(spec.weight * aoi for spec, (_, aoi, _, _) in zip(config.sources, sources))
         if action == 1 and config.num_sources == 1:
             transmit_slots += 1
         trace.append((state, action))
-        levels = []
-        for gq, hq in zip(config.downlink_quantizers, config.uplink_quantizers):
-            g = sample_level(gq, rng)
-            levels.append((g, g if config.correlated_links else sample_level(hq, rng)))
+        down = [sample_level(gq, rng) for gq in config.downlink_quantizers]
+        up = down if config.correlated_links else [sample_level(hq, rng) for hq in config.uplink_quantizers]
         out = []
-        for j, (spec, src) in enumerate(zip(config.sources, state.per_source)):
+        for j, (spec, (battery, aoi, g_level, h_level)) in enumerate(zip(config.sources, sources)):
             if action == HARVEST:
-                battery = min(spec.battery_quanta, src.battery + harvested_quanta(config, j, src.g_level))
+                battery = min(spec.battery_quanta, battery + harvested_quanta(config, j, g_level))
             elif action == j + 1:
-                battery = src.battery - transmit_quanta(config, j, src.h_level)
-            else:
-                battery = src.battery
-            aoi = 1 if action == j + 1 else min(spec.aoi_cap, src.aoi + 1)
-            out.append(SourceState(battery=battery, aoi=aoi, g_level=levels[j][0], h_level=levels[j][1]))
-        state = SystemState(per_source=tuple(out))
+                battery = battery - transmit_quanta(config, j, h_level)
+            aoi = 1 if action == j + 1 else min(spec.aoi_cap, aoi + 1)
+            out += (battery, aoi - 1, down[j] - 1, up[j] - 1)
+        state = tuple(out)
     throughput = transmit_slots * config.packet_bits / horizon if config.num_sources == 1 else None
     return total_cost / horizon, throughput, trace
 
@@ -294,20 +339,20 @@ def _reference_simulate(config, policy, horizon, seed):
 def _affordable(config, state):
     return [HARVEST] + [
         i + 1
-        for i, src in enumerate(state.per_source)
-        if src.battery >= transmit_quanta(config, i, src.h_level)
+        for i, (battery, _, _, h_level) in enumerate(_sources(state))
+        if battery >= transmit_quanta(config, i, h_level)
     ]
 
 
 def _policies(config):
     def oldest_affordable(state):
         acts = _affordable(config, state)
-        return max(acts, key=lambda a: (a != HARVEST and state.per_source[a - 1].aoi, -a))
+        return max(acts, key=lambda a: (a != HARVEST and _sources(state)[a - 1][1], -a))
 
     def scrambled(state):
         acts = _affordable(config, state)
-        key = sum((7 * k + 3) * (src.battery + 5 * src.aoi + 11 * src.g_level + 13 * src.h_level)
-                  for k, src in enumerate(state.per_source))
+        key = sum((7 * k + 3) * (battery + 5 * aoi + 11 * g_level + 13 * h_level)
+                  for k, (battery, aoi, g_level, h_level) in enumerate(_sources(state)))
         return acts[key % len(acts)]
 
     return [lambda state: HARVEST, oldest_affordable, scrambled]
@@ -388,6 +433,16 @@ def test_config_rejects_unknown_top_level_key():
     data["packet_bits"] = 12e6
     with pytest.raises(InvalidConfigError, match="packet_bits.*top level"):
         config_from_dict(data)
+
+
+def test_config_rejects_seed_key():
+    """The run seed comes from the command line; a scenario holds none."""
+    data = _config_dict()
+    data["seed"] = 3
+    with pytest.raises(InvalidConfigError, match="seed.*top level"):
+        config_from_dict(data)
+    del data["seed"]
+    assert "seed" not in {f.name for f in dataclasses.fields(config_from_dict(data))}
 
 
 def test_config_rejects_per_source_correlated_links():
