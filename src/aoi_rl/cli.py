@@ -41,9 +41,14 @@ from .tabular import LearningSchedule, train_tabular
 
 
 def _write_manifest(
-    out_dir: Path, config_path, args: argparse.Namespace, skipped: dict[str, str] | None = None
+    out_dir: Path,
+    config_path,
+    args: argparse.Namespace,
+    skipped: dict[str, str] | None = None,
+    solver=None,
 ) -> None:
-    """``skipped`` maps each output that was not written to the reason."""
+    """``skipped`` maps each output that was not written to the reason;
+    ``solver`` (written when given) holds the exact solver's stats."""
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(config_path),
@@ -57,6 +62,8 @@ def _write_manifest(
             "scipy": scipy.__version__,
         },
     }
+    if solver is not None:
+        manifest["solver"] = solver
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -75,7 +82,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_policy_csv(out / "policy.csv", indexer, pt.actions, vt.values)
-    _write_manifest(out, args.config, args)
+    _write_manifest(out, args.config, args, solver=vt.stats)
     print(f"gain: {vt.gain:.9g}")
     return 0
 
@@ -164,22 +171,23 @@ def cmd_verify(args) -> int:
     return 1 if violations and not learned else 0
 
 
-def _sweep_point(config: SystemConfig, args, value: float) -> float:
+def _sweep_point(config: SystemConfig, args, value: float) -> tuple[float, dict | None]:
+    """Gain at one swept value, plus the exact solver's stats (exact agent only)."""
     if args.vary == "battery_capacity":
         cfg = with_battery_capacity(config, value * 1e-3)  # mJ on the CLI
     else:
         cfg = with_packet_bits(config, value * 1e6)  # Mbits on the CLI
     if args.agent == "exact":
         _, _, vt, _ = _solve_gain(cfg, args.objective, args.epsilon)
-        return vt.gain
+        return vt.gain, vt.stats
     if args.agent == "tabular":
         qt, _ = train_tabular(cfg, args.slots, args.seed)
         indexer = enumerate_states(cfg, "age")
         kernel = build_kernel(cfg, indexer)
-        return evaluate_policy(kernel, qt.greedy_policy())
+        return evaluate_policy(kernel, qt.greedy_policy()), None
     result = train_dqn(cfg, DqnHyperparams(total_slots=args.slots, seed=args.seed))
     sim = simulate_policy(cfg, result.greedy_policy, args.eval_slots, args.seed)
-    return sim.avg_weighted_aoi
+    return sim.avg_weighted_aoi, None
 
 
 def cmd_sweep(args) -> int:
@@ -187,7 +195,7 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",")]
     if any(v <= 0 for v in values):
         raise SystemExit("sweep values must be positive")
-    gains = [_sweep_point(config, args, v) for v in values]
+    gains, stats = zip(*(_sweep_point(config, args, v) for v in values))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:
@@ -195,7 +203,7 @@ def cmd_sweep(args) -> int:
         writer.writerow([args.vary, "gain"])
         for v, g in zip(values, gains):
             writer.writerow([v, repr(float(g))])
-    _write_manifest(out, args.config, args)
+    _write_manifest(out, args.config, args, solver=list(stats) if args.agent == "exact" else None)
     for v, g in zip(values, gains):
         print(f"{args.vary}={v:g}: gain {g:.6g}")
     return 0

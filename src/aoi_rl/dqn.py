@@ -218,11 +218,8 @@ def loss_and_grads(net: QNetwork, enc_batch, actions, targets):
 def gradient_step(net: QNetwork, enc_batch, actions, targets, learning_rate: float) -> float:
     """In-place SGD step on the batch; returns the pre-update loss."""
     loss, grads_w, grads_b = loss_and_grads(net, enc_batch, actions, targets)
-    for gw, gb in zip(grads_w, grads_b):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise FloatingPointError(
-                f"non-finite gradient (loss={loss}); aborting training step"
-            )
+    if not np.isfinite(np.concatenate([*grads_w, *grads_b], axis=None)).all():
+        raise FloatingPointError(f"non-finite gradient (loss={loss}); aborting training step")
     for k in range(len(net.weights)):
         net.weights[k] -= learning_rate * grads_w[k]
         net.biases[k] -= learning_rate * grads_b[k]

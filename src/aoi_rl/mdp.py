@@ -9,8 +9,12 @@ evaluate a policy do not pay for loading it.
 
 The kernel is kept in factored form: the battery/AoI successor of a
 (state, action) pair is deterministic, and the next channel levels are an
-independent product of per-link pmfs. Rows of the full transition matrix
-are materialized on demand only, by the oracle.
+independent product of per-link pmfs. Each action's successor depends on
+a few state axes only (harvest on the core and the downlink levels,
+transmit j on the core and h_j), so the kernel holds one successor table
+per action, full-size on those axes and size 1 on the rest; RVIA
+broadcasts them and never builds an (n, A) array. Rows of the full
+transition matrix are materialized on demand only, by the oracle.
 
 Because the channel levels of each slot are drawn independently of the
 past, the channel-free (battery, AoI) "core" sequence under a stationary
@@ -24,16 +28,16 @@ at the start state's successor core.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
 
 from .channel import FadingQuantizer
-from .env import HARVEST, SystemConfig, action_name, energy_tables, parse_action
+from .env import SystemConfig, action_name, energy_tables, parse_action
 from .errors import (
     ContractError,
     ConvergenceError,
@@ -134,32 +138,44 @@ def _strides(dims) -> np.ndarray:
 
 
 class TransitionKernel:
-    """Factored kernel plus per-(state, action) stage cost or reward."""
+    """Factored kernel: per-action successor tables plus stage costs or rewards.
+
+    ``succ_tables[a]`` holds the core index of each state's successor under
+    action ``a``, or -1 where ``a`` is infeasible. It is an array on the
+    full state axes that is full-size on the axes the action reads and size
+    1 on the rest: harvest reads every battery, AoI and downlink level;
+    transmit ``j`` reads every battery, the other sources' AoI and the
+    uplink level ``h_j``. ``transmit_ok[j - 1]`` is the affordability of transmit ``j``
+    on the ``b_j`` and ``h_j`` axes, and ``stage_tables[a]`` the stage cost
+    (age) or reward (throughput) of ``a`` in the same broadcast form. The
+    (n, A) arrays ``succ_small``, ``succ_full`` and ``feasible`` are
+    broadcast from the tables on first use.
+    """
 
     def __init__(self, config: SystemConfig, indexer: StateIndexer):
         self.config = config
         self.indexer = indexer
         self.objective = indexer.objective
-        n = indexer.total_states
         N = config.num_sources
-        self.num_actions = N + 1 if self.objective == "age" else 2
-        dims = np.array(indexer.dims, dtype=np.int64)
+        age = self.objective == "age"
+        self.num_actions = N + 1 if age else 2
+        dims = indexer.dims
         fstr = _strides(dims)
         vps = indexer.vars_per_source
-        grids = indexer.grids()
 
         e_h, e_t = energy_tables(config)
         self.e_h, self.e_t = e_h, e_t
 
-        b = [grids[vps * i] for i in range(N)]
-        if self.objective == "age":
-            A = [grids[vps * i + 1] for i in range(N)]
-            g = [grids[vps * i + 2] for i in range(N)]
-            h = [grids[vps * i + 3] for i in range(N)]
-        else:
-            A = None
-            g = [grids[vps * i + 1] for i in range(N)]
-            h = [grids[vps * i + 2] for i in range(N)]
+        def axis(k):
+            """Values of variable ``k``, full-size on its own axis only."""
+            shape = [1] * len(dims)
+            shape[k] = dims[k]
+            return np.arange(dims[k], dtype=np.int64).reshape(shape)
+
+        b = [axis(vps * i) for i in range(N)]
+        A = [axis(vps * i + 1) for i in range(N)] if age else None
+        g = [axis(vps * i + vps - 2) for i in range(N)]
+        h = [axis(vps * i + vps - 1) for i in range(N)]
 
         # Channel groups: per source either two independent axes (g then h)
         # or, with reciprocal links, one group whose support is the diagonal
@@ -167,7 +183,7 @@ class TransitionKernel:
         chan_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
         chan_axes: list[int] = []
         for i in range(N):
-            off = vps * i + (2 if self.objective == "age" else 1)
+            off = vps * i + vps - 2
             down = config.downlink_quantizers[i].level_pmf
             up = config.uplink_quantizers[i].level_pmf
             if config.correlated_links:
@@ -192,73 +208,90 @@ class TransitionKernel:
 
         # core (non-channel) dims: RVIA contracts channels onto them and policy
         # evaluation runs on the chain over them
-        core_axes = [k for k in range(len(indexer.dims)) if k not in set(chan_axes)]
-        cdims = dims[core_axes]
+        core_axes = [k for k in range(len(dims)) if k not in set(chan_axes)]
+        cdims = [dims[k] for k in core_axes]
         cstr = _strides(cdims)
         # full index of each core state at the lowest channel levels; adding
         # chan_offsets gives the full states that share the core
         core_grids = np.unravel_index(np.arange(int(np.prod(cdims))), cdims)
         self.core_base = np.stack(core_grids, axis=1).astype(np.int64) @ fstr[core_axes]
 
-        feasible = np.zeros((n, self.num_actions), dtype=bool)
-        feasible[:, HARVEST] = True
-        succ_small = np.full((n, self.num_actions), -1, dtype=np.int64)
-        succ_full = np.full((n, self.num_actions), -1, dtype=np.int64)
-
-        caps = np.array([s.battery_quanta for s in config.sources], dtype=np.int64)
-        aoi_caps = np.array([s.aoi_cap for s in config.sources], dtype=np.int64)
+        caps = [s.battery_quanta for s in config.sources]
+        aoi_caps = [s.aoi_cap for s in config.sources]
 
         def encode(next_b, next_A):
-            """Flat core-space and full-space contributions of (b', A')."""
-            small = np.zeros(n, dtype=np.int64)
-            full = np.zeros(n, dtype=np.int64)
+            """Core index of (b', A')."""
+            core = np.zeros((1,) * len(dims), dtype=np.int64)
             for i in range(N):
-                ci = 2 * i if self.objective == "age" else i
-                small += next_b[i] * cstr[ci]
-                full += next_b[i] * fstr[vps * i]
-                if self.objective == "age":
-                    small += next_A[i] * cstr[ci + 1]
-                    full += next_A[i] * fstr[vps * i + 1]
-            return small, full
+                ci = 2 * i if age else i
+                core = core + next_b[i] * cstr[ci]
+                if age:
+                    core = core + next_A[i] * cstr[ci + 1]
+            return core
 
-        # harvest
+        aged = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)] if age else None
         hb = [np.minimum(caps[i], b[i] + e_h[i][g[i]]) for i in range(N)]
-        hA = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)] if A is not None else None
-        succ_small[:, HARVEST], succ_full[:, HARVEST] = encode(hb, hA)
-
-        # transmit from source j
+        succ_tables = [encode(hb, aged)]
+        transmit_ok = []
         for j in range(N):
-            a = j + 1
             cost_j = e_t[j][h[j]]
             feas = b[j] >= cost_j
-            feasible[:, a] = feas
-            tb = [b[i].copy() for i in range(N)]
+            tb = list(b)
             tb[j] = b[j] - np.where(feas, cost_j, 0)
-            if A is not None:
-                tA = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)]
-                tA[j] = np.zeros(n, dtype=np.int64)
-            else:
-                tA = None
-            small, full = encode(tb, tA)
-            succ_small[:, a] = np.where(feas, small, -1)
-            succ_full[:, a] = np.where(feas, full, -1)
+            tA = None
+            if age:
+                tA = list(aged)
+                tA[j] = np.zeros((1,) * len(dims), dtype=np.int64)
+            succ_tables.append(np.where(feas, encode(tb, tA), -1))
+            transmit_ok.append(feas)
+        self.succ_tables = succ_tables
+        self.transmit_ok = transmit_ok
 
-        self.feasible = feasible
-        self.succ_small = succ_small
-        self.succ_full = succ_full
-
-        if self.objective == "age":
-            weights = np.array([s.weight for s in config.sources])
-            cost = np.zeros(n)
-            for i in range(N):
-                cost += weights[i] * (A[i] + 1)
-            self.cost = cost
-            self.reward_sa = None
+        if age:
+            cost = np.zeros((1,) * len(dims))
+            for i, spec in enumerate(config.sources):
+                cost = cost + spec.weight * (A[i] + 1)
+            self.stage_tables = [cost] * self.num_actions
         else:
-            self.cost = None
-            reward = np.zeros((n, 2))
-            reward[:, 1] = np.where(feasible[:, 1], config.packet_bits, 0.0)
-            self.reward_sa = reward
+            ones = (1,) * len(dims)
+            self.stage_tables = [np.zeros(ones), np.full(ones, config.packet_bits)]
+
+    def _over_states(self, tables, dtype) -> np.ndarray:
+        """(n, len(tables)) array whose column k is ``tables[k]`` broadcast
+        over every state."""
+        out = np.empty((*self.indexer.dims, len(tables)), dtype=dtype)
+        for k, table in enumerate(tables):
+            out[..., k] = table
+        return out.reshape(self.total_states, len(tables))
+
+    @cached_property
+    def succ_small(self) -> np.ndarray:
+        """(n, A) core index of each successor; -1 where infeasible."""
+        return self._over_states(self.succ_tables, np.int64)
+
+    @cached_property
+    def succ_full(self) -> np.ndarray:
+        """(n, A) full index of each successor at the lowest channel levels;
+        -1 where infeasible."""
+        full = [np.where(t >= 0, self.core_base[t], -1) for t in self.succ_tables]
+        return self._over_states(full, np.int64)
+
+    @cached_property
+    def feasible(self) -> np.ndarray:
+        return self._over_states([True, *self.transmit_ok], bool)
+
+    @cached_property
+    def cost(self) -> Optional[np.ndarray]:
+        if self.objective != "age":
+            return None
+        return self._over_states(self.stage_tables[:1], float)[:, 0]
+
+    @cached_property
+    def reward_sa(self) -> Optional[np.ndarray]:
+        if self.objective == "age":
+            return None
+        transmit = np.where(self.transmit_ok[0], self.config.packet_bits, 0.0)
+        return self._over_states([self.stage_tables[0], transmit], float)
 
     @property
     def total_states(self) -> int:
@@ -320,12 +353,14 @@ def build_kernel(
 class ValueTable:
     values: np.ndarray
     gain: float
+    stats: Optional[dict] = None
 
 
 @dataclass
 class PolicyTable:
     actions: np.ndarray
     gain: float
+    stats: Optional[dict] = None
 
 
 def solve_rvia(
@@ -340,36 +375,78 @@ def solve_rvia(
     ``epsilon``. Gain is the midpoint of the final update differences,
     which bracket the optimal average for any iterate.
 
+    Each sweep contracts the channels once, onto the core states, and backs
+    up ``stage + w[succ]`` on each action's own table; the running minimum
+    (maximum for throughput) over actions, harvest first, is the full-state
+    update. Ties go to the lowest action index.
+
     The damped update mixes the previous iterate back in; policy-induced
     chains here can be periodic (deterministic harvest/transmit cycles),
     and undamped value iteration would oscillate on them.
+
+    Both returned tables carry ``stats``: the sweep count, the final
+    ``[lo, hi]`` bracket, and the number of states whose best two feasible
+    actions lie within ``epsilon * max(1, |gain|)`` of each other.
     """
     n = kernel.total_states
     minimize = kernel.objective == "age"
-    v = np.zeros(n) if initial_values is None else np.asarray(initial_values, dtype=float).copy()
-    stage = kernel.stage_matrix()
+    best_of = np.minimum if minimize else np.maximum
+    # the extended w's last entry is what an infeasible action (core -1) gets
     bad = np.inf if minimize else -np.inf
-    q = None
-    for _ in range(max_sweeps):
-        w = kernel.contract_channels(v)
-        q = stage + w[kernel.succ_small]
-        q = np.where(kernel.feasible, q, bad)
-        tv = q.min(axis=1) if minimize else q.max(axis=1)
-        diff = tv - v
+    v = np.zeros(n) if initial_values is None else np.asarray(initial_values, dtype=float).copy()
+    tables = list(zip(kernel.stage_tables, kernel.succ_tables))
+    dims = kernel.indexer.dims
+    # full-state buffers, reused by every sweep
+    tv_grid = np.empty(dims)
+    tv = tv_grid.reshape(n)
+    diff = np.empty(n)
+    for sweep in range(1, max_sweeps + 1):
+        w = np.append(kernel.contract_channels(v), bad)
+        q = [stage + w[succ] for stage, succ in tables]
+        best_of(reduce(best_of, q[:-1]), q[-1], out=tv_grid)
+        np.subtract(tv, v, out=diff)
         lo, hi = diff.min(), diff.max()
-        v = (1.0 - damping) * v + damping * (tv - tv[reference_state])
+        # v = (1 - damping) * v + damping * (tv - tv[reference_state]), in place
+        np.subtract(tv, tv[reference_state], out=diff)
+        diff *= damping
+        v *= 1.0 - damping
+        v += diff
         # span tolerance is relative to the gain magnitude once it exceeds
         # unity (throughput rewards are in bits and far above fp resolution
         # at an absolute 1e-9)
         if hi - lo < epsilon * max(1.0, 0.5 * abs(hi + lo)):
-            gain = 0.5 * (hi + lo)
-            actions = q.argmin(axis=1) if minimize else q.argmax(axis=1)
-            return ValueTable(values=v, gain=float(gain)), PolicyTable(
-                actions=actions.astype(np.int64), gain=float(gain)
+            gain = float(0.5 * (hi + lo))
+            tolerance = epsilon * max(1.0, abs(gain))
+            # tv and diff are spent: _greedy reuses them as buffers
+            actions, near_ties = _greedy(q, minimize, tolerance, tv_grid, diff.reshape(dims))
+            stats = {"sweeps": sweep, "bracket": [float(lo), float(hi)], "near_ties": near_ties}
+            return ValueTable(values=v, gain=gain, stats=stats), PolicyTable(
+                actions=actions, gain=gain, stats=stats
             )
     raise ConvergenceError(
         f"no convergence after {max_sweeps} sweeps; current span {hi - lo:.3e}"
     )
+
+
+def _greedy(q: list[np.ndarray], minimize: bool, tolerance: float, best, spare):
+    """Best action per state from the per-action backups ``q`` (strict
+    improvements only, so ties keep the lowest action), and the number of
+    states whose best two actions lie within ``tolerance``. ``best`` and
+    ``spare`` are full-grid float buffers that are overwritten."""
+    best_of, worst_of = (np.minimum, np.maximum) if minimize else (np.maximum, np.minimum)
+    improves = np.less if minimize else np.greater
+    actions = np.zeros(best.shape, dtype=np.int64)
+    wins = np.empty(best.shape, dtype=bool)
+    runner_up = np.full(best.shape, np.inf if minimize else -np.inf)
+    np.copyto(best, q[0])
+    for a, qa in enumerate(q[1:], start=1):
+        improves(qa, best, out=wins)
+        np.copyto(actions, a, where=wins)
+        best_of(runner_up, worst_of(best, qa, out=spare), out=runner_up)
+        best_of(best, qa, out=best)
+    np.subtract(runner_up, best, out=spare)
+    np.less_equal(np.abs(spare, out=spare), tolerance, out=wins)
+    return actions.reshape(-1), int(np.count_nonzero(wins))
 
 
 # ---------------------------------------------------------------------------
@@ -595,48 +672,91 @@ def brute_force_oracle(kernel, max_states: int = 12, max_actions: int = 3):
 # CSV export / import of policies and value tables
 
 
+def _display_offsets(indexer: StateIndexer) -> list[int]:
+    """What the CSV adds to each 0-based variable: AoI and levels are 1-based."""
+    return [0 if name.startswith("b_") else 1 for name in indexer.var_names]
+
+
+# rows of a policy file converted or parsed at a time
+_CSV_CHUNK_ROWS = 1 << 16
+
+
+def _scalars(array: np.ndarray):
+    """The elements of a flat array as Python scalars, converted a chunk at
+    a time."""
+    return itertools.chain.from_iterable(
+        array[i : i + _CSV_CHUNK_ROWS].tolist() for i in range(0, len(array), _CSV_CHUNK_ROWS)
+    )
+
+
 def export_policy_csv(
     path,
     indexer: StateIndexer,
     policy: np.ndarray,
     values: Optional[np.ndarray] = None,
 ) -> None:
-    """Columns: state variables (AoI and levels 1-based), action, value."""
+    """Columns: state variables (AoI and levels 1-based), action, value.
+
+    The bytes are those of a ``csv.writer`` rendering (CRLF line ends; no
+    field needs quoting). Rows run in state-index order, which is the
+    row-major product of the variables' label columns.
+    """
+    n = indexer.total_states
+    policy = np.asarray(policy, dtype=np.int64)
+    if policy.shape != (n,) or (values is not None and np.shape(values) != (n,)):
+        raise ContractError(f"policy and values must have shape ({n},)")
+    names = [action_name(a) for a in range(indexer.num_sources + 1)]
+    if not 0 <= policy.min() <= policy.max() < len(names):
+        raise ContractError(f"policy actions must lie in 0..{len(names) - 1}")
+    labels = [
+        [str(v + off) for v in range(d)] for d, off in zip(indexer.dims, _display_offsets(indexer))
+    ]
+    states = map(",".join, itertools.product(*labels))
+    actions = map(names.__getitem__, _scalars(policy))
+    if values is None:
+        vals = itertools.repeat("")
+    else:
+        vals = map(repr, _scalars(np.asarray(values, dtype=float)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*indexer.var_names, "action", "value"])
-        for s in range(indexer.total_states):
-            state = indexer.index_to_state(s)
-            display = [
-                v if name.startswith("b_") else v + 1
-                for name, v in zip(indexer.var_names, state)
-            ]
-            val = "" if values is None else repr(float(values[s]))
-            writer.writerow([*display, action_name(int(policy[s])), val])
+        fh.write(",".join([*indexer.var_names, "action", "value"]) + "\r\n")
+        fh.writelines(map("{},{},{}\r\n".format, states, actions, vals))
 
 
 def load_policy_csv(path, indexer: StateIndexer):
-    """Inverse of export_policy_csv; returns (policy, values-or-None)."""
+    """Inverse of export_policy_csv; returns (policy, values-or-None).
+
+    Parses a chunk of rows at a time, column by column. Fields are plain
+    comma-separated text, as the writer leaves them; a row without exactly
+    the state, action and value fields raises ``ValueError``.
+    """
+    nv = len(indexer.var_names)
+    width = nv + 2
+    offsets = np.array(_display_offsets(indexer))[:, None]
     policy = np.full(indexer.total_states, -1, dtype=np.int64)
     values = np.full(indexer.total_states, np.nan)
+    action_of: dict[str, int] = {}
+    any_values = False
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header[: len(indexer.var_names)]) != indexer.var_names:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if tuple(header[:nv]) != indexer.var_names:
             raise ContractError(
                 f"policy file columns {header} do not match indexer {indexer.var_names}"
             )
-        any_values = False
-        for row in reader:
-            raw = [int(x) for x in row[: len(indexer.var_names)]]
-            state = [
-                v if name.startswith("b_") else v - 1
-                for name, v in zip(indexer.var_names, raw)
-            ]
-            s = indexer.state_to_index(state)
-            policy[s] = parse_action(row[len(indexer.var_names)])
-            if row[len(indexer.var_names) + 1] != "":
-                values[s] = float(row[len(indexer.var_names) + 1])
+        while lines := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+            text = "".join(lines).replace("\r\n", "\n").rstrip("\n")
+            fields = text.replace("\n", ",").split(",")
+            rows = len(lines)
+            if len(fields) != width * rows:
+                raise ValueError(f"policy rows must have {width} fields")
+            state = np.array([np.fromiter(map(int, fields[k::width]), np.int64, rows) for k in range(nv)])
+            s = np.ravel_multi_index(tuple(state - offsets), indexer.dims)
+            names = fields[nv::width]
+            for name in set(names) - action_of.keys():
+                action_of[name] = parse_action(name)
+            policy[s] = list(map(action_of.__getitem__, names))
+            column = fields[nv + 1 :: width]
+            if any(column):  # an empty field reads as NaN
+                values[s] = [float(x or "nan") for x in column]
                 any_values = True
     if (policy < 0).any():
         raise ContractError("policy file does not cover the full state space")

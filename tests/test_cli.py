@@ -218,6 +218,33 @@ def test_sweep_single_value_matches_solve(tmp_path, config_path, capsys):
     assert swept_gain == pytest.approx(solved_gain, abs=1e-9)
 
 
+def test_solve_and_exact_sweep_record_solver_stats(tmp_path, config_path, capsys):
+    from aoi_rl.presets import with_battery_capacity
+
+    main(["solve", "--config", str(config_path), "--out", str(tmp_path / "solved")])
+    printed_gain = float(capsys.readouterr().out.split()[-1])
+    sweep = ["sweep", "--config", str(config_path), "--vary", "battery_capacity"]
+    main(sweep + ["--values", "0.3,0.6", "--out", str(tmp_path / "swept")])
+    main(sweep + ["--values", "0.3", "--agent", "tabular", "--slots", "500", "--out", str(tmp_path / "tab")])
+    capsys.readouterr()
+
+    cfg = load_config(config_path)
+    expected = []
+    for value in (0.3, 0.6):
+        point = with_battery_capacity(cfg, value * 1e-3)  # mJ, as the CLI converts it
+        expected.append(solve_rvia(build_kernel(point, enumerate_states(point)))[0].stats)
+    solved = json.loads((tmp_path / "solved" / "manifest.json").read_text())
+    swept = json.loads((tmp_path / "swept" / "manifest.json").read_text())
+    assert solved["solver"] == expected[0]
+    assert swept["solver"] == expected
+    stats = solved["solver"]
+    assert set(stats) == {"sweeps", "bracket", "near_ties"}
+    assert stats["sweeps"] > 0 and stats["near_ties"] >= 0
+    lo, hi = stats["bracket"]
+    assert lo <= printed_gain <= hi or printed_gain == pytest.approx(0.5 * (lo + hi), rel=1e-8)
+    assert "solver" not in json.loads((tmp_path / "tab" / "manifest.json").read_text())
+
+
 def test_sweep_rejects_non_positive_values(tmp_path, config_path):
     with pytest.raises(SystemExit):
         main(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aoi_rl import dqn
 from aoi_rl.dqn import (
     DqnHyperparams,
     QNetwork,
@@ -201,6 +202,35 @@ def test_gradient_step_guards_non_finite():
     net = QNetwork.create([2, 4, 2], np.random.default_rng(10))
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         gradient_step(net, np.zeros((1, 2)), [0], [np.inf], 0.01)
+
+
+@pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+def test_gradient_step_raises_on_each_non_finite_gradient(monkeypatch, planted):
+    """A single non-finite entry in any of the six gradient arrays raises,
+    and the network is left untouched; finite gradients pass."""
+    real = loss_and_grads
+    rng = np.random.default_rng(12)
+    enc = rng.uniform(size=(4, 2))
+    actions, targets = rng.integers(0, 2, size=4), rng.normal(size=4)
+    for which in range(7):  # six arrays, then none
+
+        def plant(*args):
+            loss, grads_w, grads_b = real(*args)
+            grads = grads_w + grads_b
+            if which < len(grads):
+                grads[which].flat[rng.integers(grads[which].size)] = planted
+            return loss, grads_w, grads_b
+
+        monkeypatch.setattr(dqn, "loss_and_grads", plant)
+        net = QNetwork.create([2, 5, 3, 2], np.random.default_rng(10))
+        before = [p.copy() for p in net.weights + net.biases]
+        if which < 6:
+            with pytest.raises(FloatingPointError, match="non-finite gradient"):
+                gradient_step(net, enc, actions, targets, 0.01)
+            assert all(np.array_equal(p, q) for p, q in zip(before, net.weights + net.biases))
+        else:
+            gradient_step(net, enc, actions, targets, 0.01)
+            assert not np.array_equal(before[0], net.weights[0])
 
 
 # --- training loop --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact-solver tests: indexing, kernel, RVIA, chain evaluation, oracle."""
 
+import csv
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_rl.env import HARVEST, load_config
+from aoi_rl import mdp
+from aoi_rl.env import HARVEST, action_name, energy_tables, load_config, parse_action
 from aoi_rl.errors import (
     ContractError,
     ConvergenceError,
@@ -16,6 +19,7 @@ from aoi_rl.errors import (
     SizeLimitError,
 )
 from aoi_rl.mdp import (
+    TransitionKernel,
     _class_gain,
     _dense_chain_gain,
     brute_force_oracle,
@@ -413,6 +417,173 @@ def test_oracle_agreement_randomized():
         assert vt.gain == pytest.approx(oracle_gain, abs=1e-6)
 
 
+# --- per-action tables against the (n, A) formulation ---------------------
+
+
+def _nA_kernel(config, indexer):
+    """The kernel as (n, A) arrays over every state, built the way the solver
+    used to: feasibility, successor core index, successor full index at the
+    lowest channel levels (-1 where infeasible), and the stage matrix."""
+    n = indexer.total_states
+    N = config.num_sources
+    age = indexer.objective == "age"
+    num_actions = N + 1 if age else 2
+    vps = indexer.vars_per_source
+    grids = indexer.grids()
+    e_h, e_t = energy_tables(config)
+    b = [grids[vps * i] for i in range(N)]
+    A = [grids[vps * i + 1] for i in range(N)] if age else None
+    g = [grids[vps * i + vps - 2] for i in range(N)]
+    h = [grids[vps * i + vps - 1] for i in range(N)]
+    caps = [s.battery_quanta for s in config.sources]
+    aoi_caps = [s.aoi_cap for s in config.sources]
+    core_dims = [d for k, d in enumerate(indexer.dims) if k % vps < vps - 2]
+    zeros = np.zeros(n, dtype=np.int64)
+
+    def encode(next_b, next_A):
+        core, full = [], []
+        for i in range(N):
+            core += [next_b[i], next_A[i]] if age else [next_b[i]]
+            full += (core[-2:] if age else core[-1:]) + [zeros, zeros]
+        return np.ravel_multi_index(core, core_dims), np.ravel_multi_index(full, indexer.dims)
+
+    feasible = np.zeros((n, num_actions), dtype=bool)
+    feasible[:, HARVEST] = True
+    succ_small = np.full((n, num_actions), -1, dtype=np.int64)
+    succ_full = np.full((n, num_actions), -1, dtype=np.int64)
+    aged = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)] if age else None
+    hb = [np.minimum(caps[i], b[i] + e_h[i][g[i]]) for i in range(N)]
+    succ_small[:, HARVEST], succ_full[:, HARVEST] = encode(hb, aged)
+    for j in range(N):
+        cost_j = e_t[j][h[j]]
+        feas = b[j] >= cost_j
+        feasible[:, j + 1] = feas
+        tb = list(b)
+        tb[j] = b[j] - np.where(feas, cost_j, 0)
+        tA = None if A is None else aged[:j] + [zeros] + aged[j + 1 :]
+        small, full = encode(tb, tA)
+        succ_small[:, j + 1] = np.where(feas, small, -1)
+        succ_full[:, j + 1] = np.where(feas, full, -1)
+    if age:
+        cost = np.zeros(n)
+        for i, spec in enumerate(config.sources):
+            cost += spec.weight * (A[i] + 1)
+        stage = np.broadcast_to(cost[:, None], (n, num_actions))
+    else:
+        stage = np.zeros((n, 2))
+        stage[:, 1] = np.where(feasible[:, 1], config.packet_bits, 0.0)
+    return feasible, succ_small, succ_full, stage
+
+
+def _nA_solve(kernel, feasible, succ_small, stage, epsilon=1e-9, damping=0.5):
+    """The (n, A) RVIA sweep: gather, mask, reduce, argmin/argmax. Returns
+    values, gain, actions, sweeps, the final bracket and the near-tie count."""
+    minimize = kernel.objective == "age"
+    bad = np.inf if minimize else -np.inf
+    v = np.zeros(kernel.total_states)
+    for sweep in itertools.count(1):
+        w = kernel.contract_channels(v)
+        q = np.where(feasible, stage + w[succ_small], bad)
+        tv = q.min(axis=1) if minimize else q.max(axis=1)
+        diff = tv - v
+        lo, hi = diff.min(), diff.max()
+        v = (1.0 - damping) * v + damping * (tv - tv[0])
+        if hi - lo < epsilon * max(1.0, 0.5 * abs(hi + lo)):
+            gain = float(0.5 * (hi + lo))
+            actions = q.argmin(axis=1) if minimize else q.argmax(axis=1)
+            ranked = np.sort(q, axis=1) if minimize else -np.sort(q, axis=1)[:, ::-1]
+            gaps = np.abs(ranked[:, 1] - ranked[:, 0])
+            near = int(np.count_nonzero(gaps <= epsilon * max(1.0, abs(gain))))
+            return v, gain, actions, sweep, [float(lo), float(hi)], near
+
+
+_TABLE_CASES = {
+    "small": (lambda: make_config(), "age"),
+    "large-age": (lambda: load_config(ROOT / "configs" / "single_source_large.yaml"), "age"),
+    "large-throughput": (
+        lambda: load_config(ROOT / "configs" / "single_source_large.yaml"),
+        "throughput",
+    ),
+    "correlated": (lambda: make_config(aoi_cap=5, correlated_links=True), "age"),
+    "correlated-throughput": (lambda: make_config(correlated_links=True), "throughput"),
+    "upper-bound": (
+        lambda: make_config(battery_quanta=4, rounding_mode="upper-bound", packet_mbits=6.0),
+        "age",
+    ),
+    "two-source": (lambda: make_config(distances=(25.0, 40.0)), "age"),
+    "three-source": (
+        lambda: make_config(
+            distances=(25.0, 40.0, 20.0), battery_quanta=1, aoi_cap=2, levels=2, weights=(0.5, 0.3, 0.2)
+        ),
+        "age",
+    ),
+}
+
+
+# the coarse tolerance makes near-ties occur on these cases
+_COARSE = ["large-age", "large-throughput", "three-source", "two-source"]
+
+
+@pytest.mark.parametrize(
+    "case, epsilon",
+    [(case, 1e-9) for case in sorted(_TABLE_CASES)] + [(case, 0.1) for case in _COARSE],
+)
+def test_solver_matches_nA_sweep_bit_for_bit(case, epsilon, monkeypatch):
+    make, objective = _TABLE_CASES[case]
+    cfg = make()
+    kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+    calls = []
+    contract = TransitionKernel.contract_channels
+
+    def counted(self, values):
+        calls.append(len(values))
+        return contract(self, values)
+
+    monkeypatch.setattr(TransitionKernel, "contract_channels", counted)
+    vt, pt = solve_rvia(kernel, epsilon=epsilon)
+    # solving reads only the per-action tables
+    assert not {"succ_small", "succ_full", "feasible", "cost", "reward_sa"} & kernel.__dict__.keys()
+    assert vt.stats["sweeps"] == len(calls)
+
+    feasible, succ_small, _, stage = _nA_kernel(cfg, kernel.indexer)
+    values, gain, actions, sweeps, bracket, near = _nA_solve(
+        kernel, feasible, succ_small, stage, epsilon=epsilon
+    )
+    assert np.array_equal(vt.values, values)
+    assert np.array_equal(pt.actions, actions) and pt.actions.dtype == np.int64
+    assert vt.gain == gain and pt.gain == gain
+    assert vt.stats == pt.stats == {"sweeps": sweeps, "bracket": bracket, "near_ties": near}
+    assert len(calls) == 2 * sweeps
+    assert epsilon < 1e-3 or near > 0
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_derived_arrays_match_nA_builder(case):
+    make, objective = _TABLE_CASES[case]
+    cfg = make()
+    kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+    feasible, succ_small, succ_full, stage = _nA_kernel(cfg, kernel.indexer)
+    assert np.array_equal(kernel.feasible, feasible)
+    assert np.array_equal(kernel.succ_small, succ_small)
+    assert np.array_equal(kernel.succ_full, succ_full)
+    assert np.array_equal(kernel.stage_matrix(), stage)
+    for arr in (kernel.feasible, kernel.succ_small, kernel.succ_full):
+        assert arr.flags.c_contiguous and arr.flags.writeable
+
+
+def test_near_ties_count_planted_ties():
+    # with AoI cap 1 every state costs the same, so all feasible actions of a
+    # state tie exactly: the count is the states with a transmit option, and
+    # the tie goes to harvest
+    cfg = make_config(aoi_cap=1)
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    vt, pt = solve_rvia(kernel)
+    feasible, succ_small, _, stage = _nA_kernel(cfg, kernel.indexer)
+    *_, near = _nA_solve(kernel, feasible, succ_small, stage)
+    assert vt.stats["near_ties"] == near == np.count_nonzero(feasible[:, 1]) > 0
+    assert np.all(pt.actions == HARVEST)
+
+
 # --- policy CSV round trip ------------------------------------------------
 
 
@@ -435,3 +606,92 @@ def test_policy_csv_header_mismatch(tmp_path, small_config):
     export_policy_csv(path, idx_thr, pt.actions)
     with pytest.raises(ContractError, match="columns"):
         load_policy_csv(path, idx_age)
+
+
+def _csv_writer_export(path, indexer, policy, values=None):
+    """Row-by-row ``csv.writer`` rendering of a policy file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*indexer.var_names, "action", "value"])
+        for s in range(indexer.total_states):
+            state = indexer.index_to_state(s)
+            display = [v if name.startswith("b_") else v + 1 for name, v in zip(indexer.var_names, state)]
+            val = "" if values is None else repr(float(values[s]))
+            writer.writerow([*display, action_name(int(policy[s])), val])
+
+
+def _csv_reader_load(path, indexer):
+    """Row-by-row ``csv.reader`` parse of a policy file."""
+    policy = np.full(indexer.total_states, -1, dtype=np.int64)
+    values = np.full(indexer.total_states, np.nan)
+    nv = len(indexer.var_names)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)[:nv]) == indexer.var_names
+        any_values = False
+        for row in reader:
+            state = [
+                int(x) if name.startswith("b_") else int(x) - 1
+                for name, x in zip(indexer.var_names, row[:nv])
+            ]
+            s = indexer.state_to_index(state)
+            policy[s] = parse_action(row[nv])
+            if row[nv + 1] != "":
+                values[s] = float(row[nv + 1])
+                any_values = True
+    assert (policy >= 0).all()
+    return policy, (values if any_values else None)
+
+
+@pytest.mark.parametrize("with_values", [True, False], ids=["values", "no-values"])
+@pytest.mark.parametrize(
+    "cfg_kwargs",
+    [dict(), dict(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2, levels_uplink=3)],
+    ids=["one-source", "two-source"],
+)
+def test_policy_csv_bytes_match_csv_module(tmp_path, cfg_kwargs, with_values, monkeypatch):
+    monkeypatch.setattr(mdp, "_CSV_CHUNK_ROWS", 100)  # rows span several chunks
+    cfg = make_config(**cfg_kwargs)
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    rng = np.random.default_rng(4)
+    policy = _random_feasible_policy(kernel, rng)
+    values = None
+    if with_values:
+        values = solve_rvia(kernel)[0].values
+        values[:7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(float).max, 1e22]
+        values[7::5] = rng.normal(scale=1e6, size=len(values[7::5]))
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    export_policy_csv(ours, kernel.indexer, policy, values)
+    _csv_writer_export(reference, kernel.indexer, policy, values)
+    assert ours.read_bytes() == reference.read_bytes()
+
+    for load in (load_policy_csv, _csv_reader_load):
+        got_policy, got_values = load(ours, kernel.indexer)
+        assert np.array_equal(got_policy, policy)
+        if values is None:
+            assert got_values is None
+        else:
+            assert np.array_equal(got_values, values, equal_nan=True)
+            assert np.array_equal(np.signbit(got_values), np.signbit(values))
+
+
+def test_policy_csv_load_reads_lf_files_and_rejects_gaps(tmp_path, small_config, monkeypatch):
+    monkeypatch.setattr(mdp, "_CSV_CHUNK_ROWS", 7)  # many chunks, the last one short
+    kernel = build_kernel(small_config, enumerate_states(small_config))
+    vt, pt = solve_rvia(kernel)
+    path = tmp_path / "policy.csv"
+    export_policy_csv(path, kernel.indexer, pt.actions, vt.values)
+    lines = path.read_text().splitlines()
+    lf = tmp_path / "lf.csv"
+    lf.write_text("\n".join(lines) + "\n")
+    policy, values = load_policy_csv(lf, kernel.indexer)
+    assert np.array_equal(policy, pt.actions) and np.array_equal(values, vt.values)
+    lf.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ContractError, match="cover"):
+        load_policy_csv(lf, kernel.indexer)
+    lf.write_text("\n".join(lines[:2] + [lines[2] + ",extra"]) + "\n")
+    with pytest.raises(ValueError):
+        load_policy_csv(lf, kernel.indexer)
+    for bad_policy in (pt.actions[:-1], np.where(pt.actions == 0, 2, pt.actions), pt.actions - 1):
+        with pytest.raises(ContractError):
+            export_policy_csv(path, kernel.indexer, bad_policy)
