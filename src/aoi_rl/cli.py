@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +47,12 @@ def _write_manifest(
     args: argparse.Namespace,
     skipped: dict[str, str] | None = None,
     solver=None,
+    phases: dict[str, float] | None = None,
+    slots_per_s: float | None = None,
 ) -> None:
-    """``skipped`` maps each output that was not written to the reason;
-    ``solver`` (written when given) holds the exact solver's stats."""
+    """``skipped`` maps each output that was not written to the reason.
+    ``solver`` (the exact solver's stats), ``phases`` (seconds per phase)
+    and ``slots_per_s`` are written when given."""
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(config_path),
@@ -62,8 +66,9 @@ def _write_manifest(
             "scipy": scipy.__version__,
         },
     }
-    if solver is not None:
-        manifest["solver"] = solver
+    for key, value in [("solver", solver), ("phases", phases), ("slots_per_s", slots_per_s)]:
+        if value is not None:
+            manifest[key] = value
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -104,11 +109,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     skipped = {}
+    started = time.perf_counter()
     if args.agent == "tabular":
         schedule = LearningSchedule()
         if args.epsilon is not None:
             schedule.eps0 = args.epsilon
         qt, trace = train_tabular(config, args.slots, args.seed, schedule=schedule)
+        train_s = time.perf_counter() - started
         _write_trace_csv(out / "trace.csv", ["slot", "gain_estimate"], trace)
         indexer = enumerate_states(config, "age")
         export_policy_csv(out / "policy.csv", indexer, qt.greedy_policy())
@@ -118,6 +125,7 @@ def cmd_train(args) -> int:
         if args.epsilon is not None:
             hyper.eps0 = args.epsilon
         result = train_dqn(config, hyper)
+        train_s = time.perf_counter() - started
         _write_trace_csv(
             out / "trace.csv",
             ["slot", "gain_estimate", "epsilon", "loss"],
@@ -134,7 +142,9 @@ def cmd_train(args) -> int:
             # the checkpoint stands alone when the state space cannot be tabulated
             skipped["policy.csv"] = str(exc)
         final = result.gain_trace[-1]
-    _write_manifest(out, args.config, args, skipped)
+    _write_manifest(
+        out, args.config, args, skipped, phases={"train": train_s}, slots_per_s=args.slots / train_s
+    )
     print(f"final gain estimate: {final:.6g}")
     for name, reason in skipped.items():
         print(f"skipped {name}: {reason}")

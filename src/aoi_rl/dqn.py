@@ -5,13 +5,25 @@ written directly in numpy so that the analytic gradient can be checked
 against finite differences parameter by parameter. Infeasible actions are
 masked both at action selection and inside the target minima.
 
+Every weight and bias is a view into one contiguous float64 vector,
+``QNetwork.params``. Backprop writes into a gradient vector of the same
+layout, so the finiteness guard and the SGD update are one array
+operation each.
+
 Training interacts with the environment through ``env.step`` on the
 state tuple, so it needs no enumeration of the state space. The network
-input is that tuple scaled into [0, 1] per variable.
+input is that tuple scaled into [0, 1] per variable. Every matrix product
+keeps the shape the per-call functions give it (a one-row forward stays
+one row, the s' and s halves of a batch stay B rows each): BLAS may
+round a product differently when its row count changes. Greedy policies
+copy their network when they are built and memoise the action per state;
+the training loop memoises each state's encoding, mask and stage cost.
+Both memos are least-recently-used caches of ``_MEMO_SIZE`` states.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,13 +34,23 @@ from .env import State, SystemConfig
 from .errors import ContractError
 from .mdp import StateIndexer, TransitionKernel
 
+# states per memo: all of a small chain, the hot states of a large one
+_MEMO_SIZE = 1 << 12
+
 
 class QNetwork:
-    """Fully-connected net: rectifier hidden layers, identity output."""
+    """Fully-connected net: rectifier hidden layers, identity output.
+
+    ``weights[k]`` (fan_in, fan_out) and ``biases[k]`` are views into the
+    flat vector ``params``, laid out layer by layer as w0, b0, w1, b1, ...
+    """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights  # each (fan_in, fan_out)
-        self.biases = biases
+        self._shapes = [np.shape(w) for w in weights]
+        self.params = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in self._shapes))
+        self.weights, self.biases = self.layers(self.params)
+        for view, value in zip(self.weights + self.biases, [*weights, *biases]):
+            view[...] = value
 
     @classmethod
     def create(cls, layer_sizes: list[int], rng: np.random.Generator) -> "QNetwork":
@@ -39,16 +61,26 @@ class QNetwork:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
+    def layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a vector laid out like ``params``."""
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in self._shapes:
+            stop = start + fan_in * fan_out
+            weights.append(flat[start:stop].reshape(fan_in, fan_out))
+            biases.append(flat[stop : stop + fan_out])
+            start = stop + fan_out
+        return weights, biases
+
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self._shapes[0][0]] + [fan_out for _, fan_out in self._shapes]
 
     @property
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.params.size
 
     def copy(self) -> "QNetwork":
-        return QNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return QNetwork(self.weights, self.biases)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Action values for a single encoded state or a batch of them."""
@@ -64,22 +96,20 @@ class QNetwork:
 
     def _forward(self, a: np.ndarray) -> np.ndarray:
         """``forward`` on a float batch of the right width, unchecked."""
+        acts = [a, *_activations(self.layer_sizes[1:], len(a))]
+        self._forward_into(acts)
+        return acts[-1]
+
+    def _forward_into(self, acts: list[np.ndarray]) -> None:
+        """``_forward`` of the batch ``acts[0]``, writing layer k's output
+        into the preallocated ``acts[k + 1]``."""
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
+            out = acts[k + 1]
+            np.matmul(acts[k], w, out=out)
+            out += b
             if k < last:
-                a = np.maximum(a, 0.0)
-        return a
-
-    def _forward_cached(self, x: np.ndarray):
-        acts = [x]
-        a = x
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if k < len(self.weights) - 1:
-                a = np.maximum(a, 0.0)
-            acts.append(a)
-        return acts
+                np.maximum(out, 0.0, out=out)
 
     def save(self, path) -> None:
         arrays = {"format_version": np.array(1), "layer_sizes": np.array(self.layer_sizes)}
@@ -189,40 +219,62 @@ def _relative_targets(costs, q_next, masks_next, ref_best) -> np.ndarray:
     return costs + np.where(masks_next, q_next, np.inf).min(axis=1) - ref_best
 
 
-def loss_and_grads(net: QNetwork, enc_batch, actions, targets):
-    """Mean half-squared TD error over the batch and its exact gradient.
+def _activations(layer_sizes: list[int], rows: int) -> list[np.ndarray]:
+    return [np.empty((rows, width)) for width in layer_sizes]
 
-    Only the taken action's output unit contributes per experience.
+
+def _backward(net: QNetwork, acts, deltas, actions, targets, grads_w, grads_b) -> float:
+    """Mean half-squared TD error of a forwarded batch; its exact gradient
+    goes into ``grads_w``/``grads_b``.
+
+    ``acts`` holds the batch and every layer's output, and ``deltas[k]``
+    is a work array shaped like ``acts[k + 1]``. Only the taken action's output
+    unit contributes per experience.
     """
-    enc_batch = np.atleast_2d(np.asarray(enc_batch, dtype=float))
-    actions = np.asarray(actions, dtype=np.int64)
-    targets = np.asarray(targets, dtype=float)
-    B = enc_batch.shape[0]
-    acts = net._forward_cached(enc_batch)
-    q_taken = acts[-1][np.arange(B), actions]
-    errors = q_taken - targets
-    loss = 0.5 * float(np.mean(errors**2))
-
-    delta = np.zeros_like(acts[-1])
-    delta[np.arange(B), actions] = errors / B
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.weights)
-    for k in range(len(net.weights) - 1, -1, -1):
-        grads_w[k] = acts[k].T @ delta
-        grads_b[k] = delta.sum(axis=0)
+    B = len(targets)
+    rows = np.arange(B)
+    errors = acts[-1][rows, actions] - targets
+    # np.mean(errors**2) without its wrappers: the same sum divided by B
+    loss = 0.5 * (float(np.add.reduce(errors * errors)) / B)
+    delta = deltas[-1]
+    delta.fill(0.0)
+    delta[rows, actions] = errors / B
+    for k in range(len(grads_w) - 1, -1, -1):
+        np.matmul(acts[k].T, delta, out=grads_w[k])
+        np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
-            delta = (delta @ net.weights[k].T) * (acts[k] > 0)
+            np.matmul(delta, net.weights[k].T, out=deltas[k - 1])
+            delta = deltas[k - 1]
+            delta *= acts[k] > 0
+    return loss
+
+
+def _update(net: QNetwork, grads: np.ndarray, learning_rate: float, loss: float) -> None:
+    """Guarded in-place SGD step on the flat gradient (which it scales)."""
+    if not np.isfinite(grads).all():
+        raise FloatingPointError(f"non-finite gradient (loss={loss}); aborting training step")
+    grads *= learning_rate
+    net.params -= grads
+
+
+def loss_and_grads(net: QNetwork, enc_batch, actions, targets):
+    """Mean half-squared TD error over the batch and its exact gradient,
+    as per-layer views of one vector laid out like ``net.params``."""
+    enc_batch = np.atleast_2d(np.asarray(enc_batch, dtype=float))
+    acts = [enc_batch, *_activations(net.layer_sizes[1:], len(enc_batch))]
+    net._forward_into(acts)
+    deltas = [np.empty_like(a) for a in acts[1:]]
+    grads_w, grads_b = net.layers(np.empty_like(net.params))
+    actions, targets = np.asarray(actions, dtype=np.int64), np.asarray(targets, dtype=float)
+    loss = _backward(net, acts, deltas, actions, targets, grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
 def gradient_step(net: QNetwork, enc_batch, actions, targets, learning_rate: float) -> float:
     """In-place SGD step on the batch; returns the pre-update loss."""
     loss, grads_w, grads_b = loss_and_grads(net, enc_batch, actions, targets)
-    if not np.isfinite(np.concatenate([*grads_w, *grads_b], axis=None)).all():
-        raise FloatingPointError(f"non-finite gradient (loss={loss}); aborting training step")
-    for k in range(len(net.weights)):
-        net.weights[k] -= learning_rate * grads_w[k]
-        net.biases[k] -= learning_rate * grads_b[k]
+    grads = np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
+    _update(net, grads, learning_rate, loss)
     return loss
 
 
@@ -241,13 +293,20 @@ class DqnResult:
 
 
 def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[State], int]:
-    """Map any state tuple to the feasible action with the lowest Q-value."""
+    """Map any state tuple to the feasible action with the lowest Q-value,
+    ties to the lowest action.
+
+    The policy keeps the copy of ``net`` made here, so training ``net``
+    further does not change it, and memoises the action per state.
+    """
     denoms = _encoding_denominators(config)
     if net.layer_sizes[0] != len(denoms):
         raise ContractError(
             f"network input {net.layer_sizes[0]} != state encoding width {len(denoms)}"
         )
+    net = net.copy()
 
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
     def policy(state: State) -> int:
         q = net._forward((np.asarray(state, dtype=float) / denoms)[None, :])[0]
         feas = env.feasible_actions(config, state)
@@ -262,11 +321,12 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     weights, one SGD step; the snapshot refreshes every target_refresh
     slots.
 
-    The loop computes what ``batch_targets`` and ``forward`` would, on the
-    same batch shapes and in the same order, without their per-call
-    checks. With a refresh period of one the snapshot is the live network
-    itself, and the snapshot's reference value is the one the live
-    network had when it was taken, so neither is recomputed.
+    The loop computes what ``batch_targets`` and ``gradient_step`` would,
+    on the same batch shapes and in the same order, in reused arrays and
+    without their per-call checks. With a refresh period of one the
+    snapshot is the live network itself (no copy): its s' forward runs
+    before the update. The snapshot's reference value is the one the live
+    network had when the snapshot was taken, so it is not recomputed.
     """
     rng = np.random.default_rng(hyper.seed)
     num_actions = config.num_sources + 1
@@ -275,59 +335,72 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     memory = ReplayMemory(hyper.replay_capacity, sizes[0], num_actions)
     denoms = _encoding_denominators(config)
 
-    def observe(state: State) -> tuple[np.ndarray, np.ndarray]:
-        """Encoding and feasible-action mask of a state."""
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def observe(state: State) -> tuple:
+        """Encoding, feasible-action mask and indices, and stage cost of a state."""
         mask = np.zeros(num_actions, dtype=bool)
         mask[env.feasible_actions(config, state)] = True
-        return np.asarray(state, dtype=float) / denoms, mask
+        enc = np.asarray(state, dtype=float) / denoms
+        return enc, mask, np.flatnonzero(mask), env.stage_cost(config, state)
 
     # reference state: empty batteries, fresh information, lowest levels
-    enc_ref, ref_mask = observe((0,) * sizes[0])
+    enc_ref, ref_mask, _, _ = observe((0,) * sizes[0])
 
     gain_trace = np.empty(hyper.total_slots)
     eps_trace = np.empty(hyper.total_slots)
     loss_trace = np.full(hyper.total_slots, np.nan)
 
-    enc_ref_row = enc_ref[None, :]
-    ref_best = net._forward(enc_ref_row)[0][ref_mask].min()  # of the live network
+    # batch workspace: the sampled s rows and, apart, their s' rows
+    B = hyper.batch_size
+    acts_s = _activations(sizes, B)
+    acts_next = _activations(sizes, B)
+    deltas = _activations(sizes[1:], B)
+    grads = np.empty_like(net.params)
+    grads_w, grads_b = net.layers(grads)
+    row_acts = [None, *_activations(sizes[1:], 1)]
+    ref_acts = [enc_ref[None, :], *_activations(sizes[1:], 1)]
+
+    net._forward_into(ref_acts)
+    ref_best = ref_acts[-1][0][ref_mask].min()  # of the live network
     state = env.initial_state(config)
-    enc_s, mask = observe(state)
+    enc_s, mask, feas, cost = observe(state)
     for k in range(hyper.total_slots):
         if k % hyper.target_refresh == 0:
             snapshot = net if hyper.target_refresh == 1 else net.copy()
             snapshot_ref_best = ref_best
         eps = hyper.epsilon(k)
         if rng.random() < eps:
-            feas = np.flatnonzero(mask)
             action = int(feas[rng.integers(len(feas))])
         else:
-            q = net._forward(enc_s[None, :])[0]
-            action = int(np.argmin(np.where(mask, q, np.inf)))
-        cost = env.stage_cost(config, state)
+            row_acts[0] = enc_s[None, :]
+            net._forward_into(row_acts)
+            action = int(np.argmin(np.where(mask, row_acts[-1][0], np.inf)))
         state = env.step(config, state, action, env.draw_levels(config, rng))
-        enc_next, mask_next = observe(state)
+        enc_next, mask_next, feas_next, cost_next = observe(state)
         memory.push(enc_s, action, cost, enc_next, mask_next)
 
-        if memory.size >= hyper.batch_size:
-            idx = memory.sample(hyper.batch_size, rng)
+        if memory.size >= B:
+            idx = memory.sample(B, rng)
+            np.take(memory.enc_next, idx, axis=0, out=acts_next[0])
+            snapshot._forward_into(acts_next)
             targets = _relative_targets(
-                memory.costs[idx],
-                snapshot._forward(memory.enc_next[idx]),
-                memory.mask_next[idx],
-                snapshot_ref_best,
+                memory.costs[idx], acts_next[-1], memory.mask_next[idx], snapshot_ref_best
             )
-            loss_trace[k] = gradient_step(
-                net, memory.enc_s[idx], memory.actions[idx], targets, hyper.learning_rate
-            )
+            np.take(memory.enc_s, idx, axis=0, out=acts_s[0])
+            net._forward_into(acts_s)
+            loss = _backward(net, acts_s, deltas, memory.actions[idx], targets, grads_w, grads_b)
+            _update(net, grads, hyper.learning_rate, loss)
+            loss_trace[k] = loss
 
-        q_ref = net._forward(enc_ref_row)[0]
+        net._forward_into(ref_acts)
+        q_ref = ref_acts[-1][0]
         ref_best = gain_trace[k] = q_ref[ref_mask].min()
         eps_trace[k] = eps
         if np.abs(q_ref).max() > hyper.divergence_limit:
             raise FloatingPointError(
                 f"Q-values diverged beyond {hyper.divergence_limit} at slot {k}"
             )
-        enc_s, mask = enc_next, mask_next
+        enc_s, mask, feas, cost = enc_next, mask_next, feas_next, cost_next
 
     return DqnResult(
         network=net,

@@ -274,9 +274,14 @@ def simulate_policy(
     total_cost = 0.0
     transmit_slots = 0
     trace = [] if record_trace else None
+    costs: dict[tuple, float] = {}  # stage cost per AoI tuple
     for _ in range(horizon):
         action = policy(state)
-        total_cost += stage_cost(config, state)
+        aoi = state[1::4]
+        cost = costs.get(aoi)
+        if cost is None:
+            cost = costs[aoi] = stage_cost(config, state)
+        total_cost += cost
         if action == 1 and config.num_sources == 1:
             transmit_slots += 1
         if record_trace:

@@ -326,6 +326,19 @@ def test_train_traces_match_csv_writer(tmp_path, config_path, capsys):
     capsys.readouterr()
 
 
+def test_train_manifest_records_phase_time_and_slot_rate(tmp_path, config_path, capsys):
+    for agent in ("tabular", "dqn"):
+        out = tmp_path / agent
+        args = ["train", "--config", str(config_path), "--agent", agent, "--slots", "600"]
+        assert main(args + ["--seed", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        train_s = manifest["phases"]["train"]
+        assert set(manifest["phases"]) == {"train"}
+        assert 0 < train_s < 600
+        assert manifest["slots_per_s"] == pytest.approx(600 / train_s)
+    capsys.readouterr()
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):
     """Only exact policy evaluation needs scipy.sparse; it loads on first use."""
     src = str(Path(aoi_rl.__file__).resolve().parents[1])

@@ -25,6 +25,7 @@ from aoi_rl.env import (
 )
 from aoi_rl.errors import ContractError
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
+from aoi_rl.presets import learning_benchmark
 
 from conftest import make_config
 
@@ -93,6 +94,89 @@ def test_checkpoint_version_guard(tmp_path):
     np.savez(path, format_version=np.array(2), layer_sizes=np.array([2, 2]))
     with pytest.raises(ContractError, match="version"):
         QNetwork.load(path)
+
+
+def _per_layer_create(layer_sizes, rng):
+    """``QNetwork.create``'s draws as separate per-layer arrays."""
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+def _per_layer_save(path, weights, biases):
+    """The checkpoint writer on separate per-layer arrays."""
+    sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+    arrays = {"format_version": np.array(1), "layer_sizes": np.array(sizes)}
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        arrays[f"w{k}"] = w
+        arrays[f"b{k}"] = b
+    np.savez(path, **arrays)
+
+
+def _assert_flat_backed(net):
+    """Every weight and bias is a view into ``params``, and together they tile it."""
+    layers = net.weights + net.biases
+    assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+    assert all(np.shares_memory(p, net.params) for p in layers)
+    assert sum(p.size for p in layers) == net.params.size == net.num_params
+    marked = np.zeros(net.params.size, dtype=bool)
+    for p in layers:
+        offset = (p.__array_interface__["data"][0] - net.params.__array_interface__["data"][0]) // 8
+        assert not marked[offset : offset + p.size].any()
+        marked[offset : offset + p.size] = True
+    assert marked.all()
+
+
+@pytest.mark.parametrize("sizes", [[4, 64, 64, 2], [8, 16, 3], [12, 5, 7, 6, 4]])
+def test_create_draws_the_per_layer_arrays(sizes):
+    net = QNetwork.create(sizes, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    weights, biases = _per_layer_create(sizes, rng)
+    _assert_flat_backed(net)
+    assert net.layer_sizes == sizes
+    for ours, theirs in zip(net.weights + net.biases, weights + biases):
+        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+    # the same draws, so the generator ends in the same state
+    probe = np.random.default_rng(31)
+    QNetwork.create(sizes, probe)
+    assert probe.bit_generator.state == rng.bit_generator.state
+
+
+def test_flat_parameters_move_with_their_views():
+    net = QNetwork.create([3, 4, 2], np.random.default_rng(32))
+    net.params[:] = np.arange(net.params.size)
+    assert np.array_equal(net.weights[0].ravel(), np.arange(12))
+    assert np.array_equal(net.biases[0], np.arange(12, 16))
+    net.biases[1][1] = -1.0
+    assert net.params[-1] == -1.0
+
+
+def test_flat_network_copy_is_independent():
+    net = QNetwork.create([4, 8, 3], np.random.default_rng(33))
+    clone = net.copy()
+    _assert_flat_backed(clone)
+    assert not np.shares_memory(clone.params, net.params)
+    assert np.array_equal(clone.params, net.params)
+    net.params += 1.0
+    clone.biases[0][0] = 5.0
+    assert not np.array_equal(clone.params, net.params)
+    assert net.biases[0][0] != 5.0
+
+
+def test_checkpoint_bytes_match_per_layer_writer(tmp_path):
+    net = train_dqn(make_config(), DqnHyperparams(total_slots=300, seed=34)).network
+    net.save(tmp_path / "flat.npz")
+    _per_layer_save(
+        tmp_path / "layers.npz", [w.copy() for w in net.weights], [b.copy() for b in net.biases]
+    )
+    assert (tmp_path / "flat.npz").read_bytes() == (tmp_path / "layers.npz").read_bytes()
+    loaded = QNetwork.load(tmp_path / "flat.npz")
+    _assert_flat_backed(loaded)
+    assert np.array_equal(loaded.params, net.params)
+    assert loaded.layer_sizes == net.layer_sizes
 
 
 # --- replay memory --------------------------------------------------------
@@ -198,6 +282,19 @@ def test_gradient_step_reduces_loss_on_fixed_batch():
     assert last < first
 
 
+def test_gradient_step_subtracts_each_layer_gradient():
+    """The step moves every weight and bias by exactly learning_rate times
+    its own gradient from ``loss_and_grads``."""
+    rng = np.random.default_rng(14)
+    net = QNetwork.create([3, 5, 4, 2], rng)
+    enc = rng.uniform(size=(6, 3))
+    actions, targets = rng.integers(0, 2, size=6), rng.normal(size=6)
+    _, grads_w, grads_b = loss_and_grads(net, enc, actions, targets)
+    expected = [p - 0.05 * g for p, g in zip(net.weights + net.biases, grads_w + grads_b)]
+    gradient_step(net, enc, actions, targets, learning_rate=0.05)
+    assert all(np.array_equal(p, e) for p, e in zip(net.weights + net.biases, expected))
+
+
 def test_gradient_step_guards_non_finite():
     net = QNetwork.create([2, 4, 2], np.random.default_rng(10))
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
@@ -231,6 +328,17 @@ def test_gradient_step_raises_on_each_non_finite_gradient(monkeypatch, planted):
         else:
             gradient_step(net, enc, actions, targets, 0.01)
             assert not np.array_equal(before[0], net.weights[0])
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+def test_training_loop_runs_the_gradient_guard():
+    """A step size that blows the weights up stops training at the
+    gradient guard (the divergence check is switched off)."""
+    hyper = DqnHyperparams(total_slots=200, seed=0, learning_rate=1e200, divergence_limit=np.inf)
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        train_dqn(learning_benchmark(), hyper)
 
 
 # --- training loop --------------------------------------------------------
@@ -392,9 +500,19 @@ def _reference_train_dqn(config, hyper):
                 hidden_sizes=(16,), eps_interval=200,
             ),
         ),
+        # batch sizes where one stacked product of the s and s' rows would
+        # round some outputs differently from two B-row products
+        (make_config(), DqnHyperparams(total_slots=400, seed=20, batch_size=1)),
+        (make_config(), DqnHyperparams(total_slots=400, seed=21, batch_size=7)),
+        (
+            make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2),
+            DqnHyperparams(total_slots=400, seed=22, batch_size=7),
+        ),
+        (make_config(), DqnHyperparams(total_slots=400, seed=24, batch_size=5, hidden_sizes=(100,))),
     ],
     ids=["small-0", "small-13", "two-source", "three-source", "correlated", "no-exploration",
-         "refresh-3", "refresh-50-ring"],
+         "refresh-3", "refresh-50-ring", "batch-1", "batch-7", "two-source-batch-7",
+         "batch-5-hidden-100"],
 )
 def test_training_matches_per_call_reference(config, hyper):
     result = train_dqn(config, hyper)
@@ -407,6 +525,19 @@ def test_training_matches_per_call_reference(config, hyper):
     assert np.isfinite(loss_trace[hyper.batch_size - 1:]).all()
 
 
+def test_evicting_memos_change_nothing(monkeypatch, small_config):
+    """Memos far smaller than the visited states evict and refill without
+    changing a bit of training or of the greedy actions."""
+    monkeypatch.setattr(dqn, "_MEMO_SIZE", 4)
+    test_training_matches_per_call_reference(make_config(), DqnHyperparams(total_slots=400, seed=25))
+    net = train_dqn(small_config, DqnHyperparams(total_slots=500, seed=26)).network
+    policy = greedy_policy_fn(net, small_config)
+    states = _all_states(small_config)
+    for _ in range(2):
+        assert [policy(s) for s in states] == [_unmemoised_greedy(net, small_config, s) for s in states]
+    assert policy.cache_info().currsize == 4
+
+
 def test_epsilon_trace_follows_schedule(small_config):
     hyper = DqnHyperparams(total_slots=200, seed=0)
     result = train_dqn(small_config, hyper)
@@ -417,6 +548,57 @@ def test_greedy_policy_only_feasible_actions(small_config):
     result = train_dqn(small_config, DqnHyperparams(total_slots=2000, seed=3))
     state = (0, 1, 0, 0)  # empty battery, AoI 2, lowest levels
     assert result.greedy_policy(state) in feasible_actions(small_config, state)
+
+
+def _unmemoised_greedy(net, config, state):
+    """One (1, n) forward, then the feasible action with the lowest
+    Q-value, the lowest index on ties."""
+    q = net.forward(encode_state(config, state)[None, :])[0]
+    return min(feasible_actions(config, state), key=lambda a: (q[a], a))
+
+
+def _all_states(config):
+    indexer = enumerate_states(config)
+    return [indexer.index_to_state(s) for s in range(indexer.total_states)]
+
+
+def _tied_network(num_sources):
+    """Zero output weights and biases that make harvest the worst action
+    and every transmission tie with every other."""
+    net = QNetwork.create([4 * num_sources, 8, num_sources + 1], np.random.default_rng(40))
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = 0.0
+    net.biases[-1][0] = 1.0
+    return net
+
+
+@pytest.mark.parametrize(
+    "config",
+    [make_config(), make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2)],
+    ids=["small", "two-source"],
+)
+def test_memoised_greedy_policy_matches_unmemoised(config):
+    trained = train_dqn(config, DqnHyperparams(total_slots=500, seed=41)).network
+    states = _all_states(config)
+    rng = np.random.default_rng(42)
+    for net in (trained, _tied_network(config.num_sources)):
+        policy = greedy_policy_fn(net, config)
+        for _ in range(2):  # the second pass answers from the memo
+            for i in rng.permutation(len(states)):
+                assert policy(states[i]) == _unmemoised_greedy(net, config, states[i])
+    if config.num_sources == 2:  # the tie-break was exercised
+        tied = greedy_policy_fn(_tied_network(2), config)
+        assert any(tied(s) == 1 and 2 in feasible_actions(config, s) for s in states)
+
+
+def test_greedy_policy_keeps_its_network_snapshot(small_config):
+    net = train_dqn(small_config, DqnHyperparams(total_slots=500, seed=43)).network
+    states = _all_states(small_config)
+    before = [_unmemoised_greedy(net, small_config, s) for s in states]
+    policy = greedy_policy_fn(net, small_config)
+    net.params[:] = np.random.default_rng(44).normal(size=net.params.size)
+    assert [_unmemoised_greedy(net, small_config, s) for s in states] != before
+    assert [policy(s) for s in states] == before
 
 
 def test_tabulated_policy_matches_pointwise_greedy(small_config):

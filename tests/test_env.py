@@ -16,6 +16,7 @@ from aoi_rl.env import (
     HARVEST,
     action_name,
     config_from_dict,
+    draw_levels,
     energy_tables,
     feasible_actions,
     harvested_quanta,
@@ -366,6 +367,25 @@ def test_simulate_policy_matches_dataclass_reference():
             assert sim.avg_weighted_aoi == avg
             assert sim.avg_throughput_bits == throughput
             assert sim.trace == trace
+
+
+def test_simulate_policy_cost_memo_matches_per_slot_cost():
+    """The rollout's per-AoI-tuple cost memo adds the same floats as the
+    per-slot dot product, weights that do not sum exactly included."""
+    # weights in the ratio 0.7 : 1.3, scaled to sum to one
+    config = make_config(distances=(25.0, 40.0), aoi_cap=6, levels=2, weights=[0.35, 0.65])
+    for policy in _policies(config):
+        rng = np.random.default_rng(11)
+        state, total, trace = initial_state(config), 0.0, []
+        for _ in range(2000):
+            action = policy(state)
+            total += float(config.weights @ (np.array(state[1::4]) + 1))
+            trace.append((state, action))
+            state = step(config, state, action, draw_levels(config, rng))
+        sim = simulate_policy(config, policy, 2000, seed=11, record_trace=True)
+        assert sim.avg_weighted_aoi == total / 2000
+        assert sim.trace == trace
+    assert len({s[1::4] for s, _ in trace}) > 10  # many AoI tuples were visited
 
 
 # --- config construction and file I/O ------------------------------------
