@@ -21,7 +21,7 @@ import scipy
 
 from . import __version__
 from .dqn import DqnHyperparams, QNetwork, greedy_policy_fn, tabulate_policy, train_dqn
-from .env import SystemConfig, load_config, simulate_policy
+from .env import SystemConfig, load_config, simulate_policy, with_battery_capacity, with_packet_bits
 from .errors import SizeLimitError
 from .mdp import (
     build_kernel,
@@ -31,7 +31,6 @@ from .mdp import (
     load_policy_csv,
     solve_rvia,
 )
-from .presets import with_battery_capacity, with_packet_bits
 from .structure import (
     check_threshold_aoi,
     check_threshold_single_source,
@@ -114,11 +113,11 @@ def cmd_train(args) -> int:
         schedule = LearningSchedule()
         if args.epsilon is not None:
             schedule.eps0 = args.epsilon
-        qt, trace = train_tabular(config, args.slots, args.seed, schedule=schedule)
+        kernel = build_kernel(config, enumerate_states(config, "age"))
+        qt, trace = train_tabular(config, args.slots, args.seed, schedule=schedule, kernel=kernel)
         train_s = time.perf_counter() - started
         _write_trace_csv(out / "trace.csv", ["slot", "gain_estimate"], trace)
-        indexer = enumerate_states(config, "age")
-        export_policy_csv(out / "policy.csv", indexer, qt.greedy_policy())
+        export_policy_csv(out / "policy.csv", kernel.indexer, qt.greedy_policy())
         final = trace[-1]
     else:
         hyper = DqnHyperparams(total_slots=args.slots, seed=args.seed)
@@ -135,9 +134,10 @@ def cmd_train(args) -> int:
         )
         result.network.save(out / "checkpoint.npz")
         try:
-            indexer = enumerate_states(config, "age")
-            kernel = build_kernel(config, indexer)
-            export_policy_csv(out / "policy.csv", indexer, tabulate_policy(result.network, kernel))
+            kernel = build_kernel(config, enumerate_states(config, "age"))
+            export_policy_csv(
+                out / "policy.csv", kernel.indexer, tabulate_policy(result.network, kernel)
+            )
         except SizeLimitError as exc:
             # the checkpoint stands alone when the state space cannot be tabulated
             skipped["policy.csv"] = str(exc)
@@ -191,9 +191,8 @@ def _sweep_point(config: SystemConfig, args, value: float) -> tuple[float, dict 
         _, _, vt, _ = _solve_gain(cfg, args.objective, args.epsilon)
         return vt.gain, vt.stats
     if args.agent == "tabular":
-        qt, _ = train_tabular(cfg, args.slots, args.seed)
-        indexer = enumerate_states(cfg, "age")
-        kernel = build_kernel(cfg, indexer)
+        kernel = build_kernel(cfg, enumerate_states(cfg, "age"))
+        qt, _ = train_tabular(cfg, args.slots, args.seed, kernel=kernel)
         return evaluate_policy(kernel, qt.greedy_policy()), None
     result = train_dqn(cfg, DqnHyperparams(total_slots=args.slots, seed=args.seed))
     sim = simulate_policy(cfg, result.greedy_policy, args.eval_slots, args.seed)

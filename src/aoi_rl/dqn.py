@@ -24,15 +24,15 @@ Both memos are least-recently-used caches of ``_MEMO_SIZE`` states.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import env
+from . import env, mdp
 from .env import State, SystemConfig
 from .errors import ContractError
-from .mdp import StateIndexer, TransitionKernel
+from .mdp import TransitionKernel
 
 # states per memo: all of a small chain, the hot states of a large one
 _MEMO_SIZE = 1 << 12
@@ -74,10 +74,6 @@ class QNetwork:
     @property
     def layer_sizes(self) -> list[int]:
         return [self._shapes[0][0]] + [fan_out for _, fan_out in self._shapes]
-
-    @property
-    def num_params(self) -> int:
-        return self.params.size
 
     def copy(self) -> "QNetwork":
         return QNetwork(self.weights, self.biases)
@@ -289,7 +285,6 @@ class DqnResult:
     epsilon_trace: np.ndarray
     loss_trace: np.ndarray
     greedy_policy: Callable[[State], int]
-    config: SystemConfig = field(repr=False, default=None)
 
 
 def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[State], int]:
@@ -408,17 +403,29 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
         epsilon_trace=eps_trace,
         loss_trace=loss_trace,
         greedy_policy=greedy_policy_fn(net, config),
-        config=config,
     )
 
 
 def tabulate_policy(net: QNetwork, kernel: TransitionKernel) -> np.ndarray:
-    """Greedy policy of the network over a fully enumerated state space."""
-    indexer: StateIndexer = kernel.indexer
+    """Greedy policy of the network over a fully enumerated state space.
+
+    States are forwarded in index order, as many at a time as the policy
+    CSV converts (``mdp._CSV_CHUNK_ROWS``), so the memory beyond the
+    returned policy stays bounded on large spaces.
+    """
+    indexer = kernel.indexer
     if indexer.objective != "age":
         raise ContractError("network policies are defined on the age state space")
-    grids = np.stack(indexer.grids(), axis=1).astype(float)
-    enc = grids / _encoding_denominators(kernel.config)
-    q = net.forward(enc)
-    q = np.where(kernel.feasible, q, np.inf)
-    return q.argmin(axis=1).astype(np.int64)
+    dims = indexer.dims
+    denoms = _encoding_denominators(kernel.config)
+    transmit_ok = [np.broadcast_to(ok, dims) for ok in kernel.transmit_ok]
+    n = indexer.total_states
+    policy = np.empty(n, dtype=np.int64)
+    chunk = mdp._CSV_CHUNK_ROWS
+    for start in range(0, n, chunk):
+        grids = np.unravel_index(np.arange(start, min(n, start + chunk)), dims)
+        q = net.forward(np.stack(grids, axis=1).astype(float) / denoms)
+        harvest = np.ones(len(q), dtype=bool)
+        feasible = np.stack([harvest, *(ok[grids] for ok in transmit_ok)], axis=1)
+        policy[start : start + chunk] = np.where(feasible, q, np.inf).argmin(axis=1)
+    return policy

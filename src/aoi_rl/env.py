@@ -14,6 +14,7 @@ kernel; the policy rollouts and the DQN training loop both run on it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -360,6 +361,30 @@ def config_from_dict(data: dict) -> SystemConfig:
         )
     except KeyError as exc:
         raise InvalidConfigError(f"missing config key: {exc}") from exc
+
+
+def with_battery_capacity(config: SystemConfig, joules: float) -> SystemConfig:
+    """Same scenario with every battery capacity replaced.
+
+    The energy quantum (capacity / quanta count) is kept fixed and the quanta
+    count rescaled, so a larger battery means more storage at the same
+    granularity rather than a coarser grid.
+    """
+    sources = tuple(
+        dataclasses.replace(
+            s,
+            battery_capacity_joules=joules,
+            battery_quanta=max(
+                1, round(joules * s.battery_quanta / s.battery_capacity_joules)
+            ),
+        )
+        for s in config.sources
+    )
+    return dataclasses.replace(config, sources=sources)
+
+
+def with_packet_bits(config: SystemConfig, bits: float) -> SystemConfig:
+    return dataclasses.replace(config, packet_bits=bits)
 
 
 def load_config(path) -> SystemConfig:

@@ -36,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import FadingQuantizer
 from .env import SystemConfig, action_name, energy_tables, parse_action
 from .errors import (
     ContractError,
@@ -45,7 +44,12 @@ from .errors import (
     SizeLimitError,
 )
 
-DEFAULT_STATE_LIMIT = 20_000_000
+# most states ``enumerate_states`` indexes
+STATE_LIMIT = 20_000_000
+# weight of the new iterate in each damped RVIA update
+_DAMPING = 0.5
+# largest kernel the exhaustive policy oracle takes
+_ORACLE_STATES, _ORACLE_ACTIONS = 12, 3
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,7 @@ class StateIndexer:
         return self.state_to_index(values)
 
 
-def enumerate_states(
-    config: SystemConfig, objective: str = "age", limit: int = DEFAULT_STATE_LIMIT
-) -> StateIndexer:
+def enumerate_states(config: SystemConfig, objective: str = "age") -> StateIndexer:
     if objective not in ("age", "throughput"):
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "throughput" and config.num_sources != 1:
@@ -118,9 +120,9 @@ def enumerate_states(
         dims.append(spec.link.levels_uplink)
         names.append(f"h_{i}")
     total = int(np.prod([int(d) for d in dims], dtype=object))
-    if total > limit:
+    if total > STATE_LIMIT:
         raise SizeLimitError(
-            f"state space has {total} states, exceeding the limit of {limit}"
+            f"state space has {total} states, exceeding the limit of {STATE_LIMIT}"
         )
     return StateIndexer(
         objective=objective,
@@ -306,11 +308,6 @@ class TransitionKernel:
             return float(self.cost[s])
         return float(self.reward_sa[s, a])
 
-    def stage_matrix(self) -> np.ndarray:
-        if self.objective == "age":
-            return np.broadcast_to(self.cost[:, None], (self.total_states, self.num_actions))
-        return self.reward_sa
-
     def contract_channels(self, values: np.ndarray) -> np.ndarray:
         """Expected value over next channel levels, flat over the core dims.
 
@@ -339,13 +336,7 @@ class TransitionKernel:
         return [a for a in range(self.num_actions) if self.feasible[s, a]]
 
 
-def build_kernel(
-    config: SystemConfig, indexer: StateIndexer, objective: Optional[str] = None
-) -> TransitionKernel:
-    if objective is not None and objective != indexer.objective:
-        raise ContractError(
-            f"indexer was enumerated for {indexer.objective!r}, not {objective!r}"
-        )
+def build_kernel(config: SystemConfig, indexer: StateIndexer) -> TransitionKernel:
     return TransitionKernel(config, indexer)
 
 
@@ -368,8 +359,6 @@ def solve_rvia(
     epsilon: float = 1e-9,
     max_sweeps: int = 200_000,
     initial_values: Optional[np.ndarray] = None,
-    reference_state: int = 0,
-    damping: float = 0.5,
 ) -> tuple[ValueTable, PolicyTable]:
     """Relative value iteration until the Bellman-update span drops below
     ``epsilon``. Gain is the midpoint of the final update differences,
@@ -382,7 +371,8 @@ def solve_rvia(
 
     The damped update mixes the previous iterate back in; policy-induced
     chains here can be periodic (deterministic harvest/transmit cycles),
-    and undamped value iteration would oscillate on them.
+    and undamped value iteration would oscillate on them. Values are kept
+    relative to state 0.
 
     Both returned tables carry ``stats``: the sweep count, the final
     ``[lo, hi]`` bracket, and the number of states whose best two feasible
@@ -406,10 +396,10 @@ def solve_rvia(
         best_of(reduce(best_of, q[:-1]), q[-1], out=tv_grid)
         np.subtract(tv, v, out=diff)
         lo, hi = diff.min(), diff.max()
-        # v = (1 - damping) * v + damping * (tv - tv[reference_state]), in place
-        np.subtract(tv, tv[reference_state], out=diff)
-        diff *= damping
-        v *= 1.0 - damping
+        # v = (1 - damping) * v + damping * (tv - tv[0]), in place
+        np.subtract(tv, tv[0], out=diff)
+        diff *= _DAMPING
+        v *= 1.0 - _DAMPING
         v += diff
         # span tolerance is relative to the gain magnitude once it exceeds
         # unity (throughput rewards are in bits and far above fp resolution
@@ -457,11 +447,11 @@ def _class_gain(P: sp.csr_matrix, members: np.ndarray, stage: np.ndarray) -> flo
     """Average stage value under the stationary distribution of one
     recurrent class.
 
-    Large classes are solved sparsely with the last member's weight pinned
-    to 1: the others then solve the nonsingular system (I - Q)^T x = r,
-    with Q the class's transitions among them and r the last member's
-    transitions into them, and normalising gives the distribution. A dense
-    normalisation row would fill in the sparse factorisation.
+    The last member's weight is pinned to 1: the others then solve the
+    nonsingular sparse system (I - Q)^T x = r, with Q the class's
+    transitions among them and r the last member's transitions into them,
+    and normalising gives the distribution. A dense normalisation row
+    would fill in the sparse factorisation.
     """
     m = len(members)
     if m == 1:
@@ -470,17 +460,10 @@ def _class_gain(P: sp.csr_matrix, members: np.ndarray, stage: np.ndarray) -> flo
     from scipy.sparse.linalg import spsolve
 
     sub = P[members][:, members]
-    if m <= 2000:
-        mat = sub.T.toarray() - np.eye(m)
-        mat[-1, :] = 1.0
-        rhs = np.zeros(m)
-        rhs[-1] = 1.0
-        pi = np.linalg.solve(mat, rhs)
-    else:
-        lhs = (sp.identity(m - 1, format="csr") - sub[:-1, :-1]).T.tocsc()
-        rhs = sub[-1, :-1].toarray().ravel()
-        pi = np.append(spsolve(lhs, rhs), 1.0)
-        pi /= pi.sum()
+    lhs = (sp.identity(m - 1, format="csr") - sub[:-1, :-1]).T.tocsc()
+    rhs = sub[-1, :-1].toarray().ravel()
+    pi = np.append(spsolve(lhs, rhs), 1.0)
+    pi /= pi.sum()
     return float(pi @ stage[members])
 
 
@@ -542,9 +525,13 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     n = kernel.total_states
     if policy.shape != (n,):
         raise ContractError(f"policy has shape {policy.shape}, expected ({n},)")
-    feas = kernel.feasible[np.arange(n), policy]
-    if not feas.all():
-        s = int(np.flatnonzero(~feas)[0])
+    if not 0 <= policy.min() <= policy.max() < kernel.num_actions:
+        raise ContractError(f"policy actions must lie in 0..{kernel.num_actions - 1}")
+    grid = policy.reshape(kernel.indexer.dims)
+    succ = np.choose(grid, kernel.succ_tables).reshape(n)
+    infeasible = np.flatnonzero(succ < 0)
+    if len(infeasible):
+        s = int(infeasible[0])
         raise InfeasibleActionError(
             f"policy takes {action_name(int(policy[s]))} in state "
             f"{kernel.indexer.index_to_state(s)} where it is infeasible"
@@ -552,14 +539,11 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     core = len(kernel.core_base)
     m = len(kernel.chan_offsets)
     states = kernel.core_base[:, None] + kernel.chan_offsets[None, :]
-    actions = policy[states]
-    succ = kernel.succ_small[states, actions].ravel()
     rows = np.repeat(np.arange(core), m)
     data = np.tile(kernel.chan_probs, core)
-    P = sp.csr_matrix((data, (rows, succ)), shape=(core, core))
-    stage = kernel.stage_matrix()[states, actions] @ kernel.chan_probs
-    start = int(kernel.succ_small[kernel.start_index, policy[kernel.start_index]])
-    return P, stage, start
+    P = sp.csr_matrix((data, (rows, succ[states].ravel())), shape=(core, core))
+    stage = np.choose(grid, kernel.stage_tables).reshape(n)[states] @ kernel.chan_probs
+    return P, stage, int(succ[kernel.start_index])
 
 
 def evaluate_policy(kernel: TransitionKernel, policy: np.ndarray) -> float:
@@ -629,7 +613,7 @@ def _dense_chain_gain(P: np.ndarray, stage: np.ndarray, start: int) -> float:
     return gain
 
 
-def brute_force_oracle(kernel, max_states: int = 12, max_actions: int = 3):
+def brute_force_oracle(kernel):
     """Enumerate every stationary deterministic feasible policy, evaluate
     each induced chain exactly, and return the best (gain, PolicyTable).
 
@@ -638,10 +622,10 @@ def brute_force_oracle(kernel, max_states: int = 12, max_actions: int = 3):
     """
     n = kernel.total_states
     A = kernel.num_actions
-    if n > max_states:
-        raise SizeLimitError(f"oracle limited to {max_states} states, got {n}")
-    if A > max_actions:
-        raise SizeLimitError(f"oracle limited to {max_actions} actions, got {A}")
+    if n > _ORACLE_STATES:
+        raise SizeLimitError(f"oracle limited to {_ORACLE_STATES} states, got {n}")
+    if A > _ORACLE_ACTIONS:
+        raise SizeLimitError(f"oracle limited to {_ORACLE_ACTIONS} actions, got {A}")
 
     dense = np.zeros((n, A, n))
     stage = np.zeros((n, A))

@@ -14,9 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import HARVEST, SystemConfig, action_name, energy_tables
+from .env import SystemConfig, action_name, energy_tables
 from .errors import ContractError
-from .mdp import StateIndexer
+from .mdp import StateIndexer, _display_offsets
+
+# value differences up to this size are not monotonicity violations
+_VALUE_TOL = 1e-7
+# disagreeing states ``diff_policies`` lists
+_DIFF_EXAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -29,10 +34,7 @@ class Violation:
 
 
 def _display(indexer: StateIndexer, raw_state: tuple) -> tuple:
-    return tuple(
-        v if name.startswith("b_") else v + 1
-        for name, v in zip(indexer.var_names, raw_state)
-    )
+    return tuple(v + off for v, off in zip(raw_state, _display_offsets(indexer)))
 
 
 def _pairs_from_mask(indexer, mask, axis):
@@ -46,9 +48,7 @@ def _pairs_from_mask(indexer, mask, axis):
     return out
 
 
-def check_value_monotone_age(
-    indexer: StateIndexer, values: np.ndarray, tol: float = 1e-7
-) -> list[Violation]:
+def check_value_monotone_age(indexer: StateIndexer, values: np.ndarray) -> list[Violation]:
     """Value non-increasing in battery and both channel levels,
     non-decreasing in AoI, variable by variable."""
     if indexer.objective != "age":
@@ -58,10 +58,10 @@ def check_value_monotone_age(
     for axis, name in enumerate(indexer.var_names):
         d = np.diff(v, axis=axis)
         if name.startswith("A_"):
-            bad = d < -tol  # must be non-decreasing
+            bad = d < -_VALUE_TOL  # must be non-decreasing
             expected = "value non-decreasing"
         else:
-            bad = d > tol  # must be non-increasing
+            bad = d > _VALUE_TOL  # must be non-increasing
             expected = "value non-increasing"
         for prev, pos in _pairs_from_mask(indexer, _pad_diff(bad, axis), axis):
             violations.append(
@@ -180,7 +180,6 @@ def diff_policies(
     throughput_policy: np.ndarray,
     age_indexer: StateIndexer,
     throughput_indexer: StateIndexer,
-    max_examples: int = 20,
 ) -> PolicyDiff:
     """Per-AoI-slice disagreement counts between the age-optimal and
     throughput-optimal actions at matched (battery, downlink, uplink)."""
@@ -202,8 +201,8 @@ def diff_policies(
         c = int(disagree.sum())
         counts[a_idx + 1] = c
         total += c
-        if c and len(examples) < max_examples:
-            for pos in np.argwhere(disagree)[: max_examples - len(examples)]:
+        if c and len(examples) < _DIFF_EXAMPLES:
+            for pos in np.argwhere(disagree)[: _DIFF_EXAMPLES - len(examples)]:
                 bi, gi, hi = (int(x) for x in pos)
                 examples.append(
                     (

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .env import SystemConfig
-from .mdp import DEFAULT_STATE_LIMIT, TransitionKernel, build_kernel, enumerate_states
+from .mdp import TransitionKernel, build_kernel, enumerate_states
 
 
 @dataclass
@@ -98,7 +98,6 @@ def train_tabular(
     seed: int,
     schedule: Optional[LearningSchedule] = None,
     kernel: Optional[TransitionKernel] = None,
-    state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> tuple[QTable, np.ndarray]:
     """Run one trajectory of relative Q-learning.
 
@@ -108,8 +107,7 @@ def train_tabular(
     if schedule is None:
         schedule = LearningSchedule()
     if kernel is None:
-        indexer = enumerate_states(config, "age", limit=state_limit)
-        kernel = build_kernel(config, indexer)
+        kernel = build_kernel(config, enumerate_states(config, "age"))
     rng = np.random.default_rng(seed)
     # The reference state is arbitrary in principle, but the subtraction
     # only anchors the iterates (and the gain estimate only converges) if

@@ -7,6 +7,7 @@ triggers (including any solve it is first to request).
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from aoi_rl.dqn import (
     tabulate_policy,
     train_dqn,
 )
-from aoi_rl.env import action_name, feasible_actions, simulate_policy
+from aoi_rl.env import (
+    action_name,
+    feasible_actions,
+    load_config,
+    simulate_policy,
+    with_battery_capacity,
+    with_packet_bits,
+)
 from aoi_rl.errors import SizeLimitError
 from aoi_rl.mdp import (
     brute_force_oracle,
@@ -26,14 +34,6 @@ from aoi_rl.mdp import (
     enumerate_states,
     evaluate_policy,
     solve_rvia,
-)
-from aoi_rl.presets import (
-    learning_benchmark,
-    single_source_comparison,
-    three_source_sweep,
-    two_source_policy_map,
-    with_battery_capacity,
-    with_packet_bits,
 )
 from aoi_rl.structure import (
     check_threshold_aoi,
@@ -45,6 +45,8 @@ from aoi_rl.tabular import train_tabular
 
 from conftest import make_config, random_tiny_config
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 _CACHE: dict = {}
 
 
@@ -52,12 +54,13 @@ def _solved(name):
     """Lazily solve a named scenario; returns
     (config, kernel, value_table, policy_table, solve_seconds)."""
     if name not in _CACHE:
-        config, objective = {
-            "two_source": (two_source_policy_map(), "age"),
-            "single_source": (single_source_comparison(), "age"),
-            "single_source_throughput": (single_source_comparison(), "throughput"),
-            "benchmark": (learning_benchmark(), "age"),
+        file, objective = {
+            "two_source": ("two_source", "age"),
+            "single_source": ("single_source_large", "age"),
+            "single_source_throughput": ("single_source_large", "throughput"),
+            "benchmark": ("learning_small", "age"),
         }[name]
+        config = load_config(CONFIGS / f"{file}.yaml")
         t0 = time.monotonic()
         kernel = build_kernel(config, enumerate_states(config, objective))
         vt, pt = solve_rvia(kernel)
@@ -307,7 +310,8 @@ def _exact_sweep_gains(base, parameter, values):
 def test_criterion_7_parameter_trends():
     """More battery helps, bigger packets hurt — exactly for one source,
     and by majority vote for the learned three-source policies."""
-    base = learning_benchmark()
+    base = load_config(CONFIGS / "learning_small.yaml")
+    three = load_config(CONFIGS / "three_source.yaml")
     battery = _exact_sweep_gains(base, "battery", [0.1, 0.2, 0.3, 0.4, 0.5])
     packet = _exact_sweep_gains(base, "packet", [6.0, 9.0, 12.0, 15.0, 18.0])
     battery_ok = all(a >= b - 1e-9 for a, b in zip(battery, battery[1:]))
@@ -318,13 +322,13 @@ def test_criterion_7_parameter_trends():
     for seed in (0, 1, 2):
         ends = []
         for mj in (0.1, 0.5):
-            cfg = three_source_sweep(battery_mj=mj)
+            cfg = with_battery_capacity(three, mj * 1e-3)
             result = train_dqn(cfg, DqnHyperparams(total_slots=40_000, seed=seed))
             ends.append(simulate_policy(cfg, result.greedy_policy, 20_000, 123).avg_weighted_aoi)
         votes_battery += ends[1] < ends[0]
         ends = []
         for mbits in (6.0, 18.0):
-            cfg = three_source_sweep(packet_mbits=mbits)
+            cfg = with_packet_bits(three, mbits * 1e6)
             result = train_dqn(cfg, DqnHyperparams(total_slots=40_000, seed=seed))
             ends.append(simulate_policy(cfg, result.greedy_policy, 20_000, 123).avg_weighted_aoi)
         votes_packet += ends[1] > ends[0]

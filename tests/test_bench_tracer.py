@@ -6,9 +6,10 @@ from pathlib import Path
 
 from aoi_rl import cli, dqn, env, mdp, tabular
 from aoi_rl.dqn import DqnHyperparams
-from aoi_rl.presets import learning_benchmark
+from aoi_rl.env import load_config
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -25,7 +26,7 @@ def test_tracer_installs_counts_and_unpatches():
     tracer = spans.Tracer()
     try:
         spans.install(tracer)  # a KeyError here names a wrapped function that is gone
-        config = learning_benchmark()
+        config = load_config(ROOT / "configs" / "learning_small.yaml")
         result = cli.train_dqn(config, DqnHyperparams(total_slots=40, seed=0))
         policy = cli.greedy_policy_fn(result.network, config)
         cli.simulate_policy(config, policy, 5, 0)

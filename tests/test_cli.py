@@ -15,7 +15,7 @@ import yaml
 import aoi_rl
 from aoi_rl.cli import _write_trace_csv, main
 from aoi_rl.dqn import DqnHyperparams, train_dqn
-from aoi_rl.env import load_config
+from aoi_rl.env import load_config, with_battery_capacity
 from aoi_rl.mdp import build_kernel, enumerate_states, load_policy_csv, solve_rvia
 from aoi_rl.tabular import LearningSchedule, train_tabular
 
@@ -219,8 +219,6 @@ def test_sweep_single_value_matches_solve(tmp_path, config_path, capsys):
 
 
 def test_solve_and_exact_sweep_record_solver_stats(tmp_path, config_path, capsys):
-    from aoi_rl.presets import with_battery_capacity
-
     main(["solve", "--config", str(config_path), "--out", str(tmp_path / "solved")])
     printed_gain = float(capsys.readouterr().out.split()[-1])
     sweep = ["sweep", "--config", str(config_path), "--vary", "battery_capacity"]

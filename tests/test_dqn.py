@@ -1,9 +1,11 @@
 """Network, replay memory, gradients, and the deep training loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from aoi_rl import dqn
+from aoi_rl import dqn, mdp
 from aoi_rl.dqn import (
     DqnHyperparams,
     QNetwork,
@@ -21,13 +23,15 @@ from aoi_rl.env import (
     feasible_actions,
     harvested_quanta,
     initial_state,
+    load_config,
     transmit_quanta,
 )
 from aoi_rl.errors import ContractError
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
-from aoi_rl.presets import learning_benchmark
 
 from conftest import make_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # --- encoding -------------------------------------------------------------
@@ -121,7 +125,7 @@ def _assert_flat_backed(net):
     layers = net.weights + net.biases
     assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
     assert all(np.shares_memory(p, net.params) for p in layers)
-    assert sum(p.size for p in layers) == net.params.size == net.num_params
+    assert sum(p.size for p in layers) == net.params.size
     marked = np.zeros(net.params.size, dtype=bool)
     for p in layers:
         offset = (p.__array_interface__["data"][0] - net.params.__array_interface__["data"][0]) // 8
@@ -338,7 +342,7 @@ def test_training_loop_runs_the_gradient_guard():
     gradient guard (the divergence check is switched off)."""
     hyper = DqnHyperparams(total_slots=200, seed=0, learning_rate=1e200, divergence_limit=np.inf)
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        train_dqn(learning_benchmark(), hyper)
+        train_dqn(load_config(CONFIGS / "learning_small.yaml"), hyper)
 
 
 # --- training loop --------------------------------------------------------
@@ -609,6 +613,19 @@ def test_tabulated_policy_matches_pointwise_greedy(small_config):
     idx = kernel.indexer
     for s in range(0, kernel.total_states, 13):
         assert table[s] == policy(idx.index_to_state(s))
+
+
+def test_tabulate_policy_in_chunks_matches_one_batch(monkeypatch):
+    cfg = make_config(distances=(25.0, 40.0))
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    net = QNetwork.create([8, 64, 64, 3], np.random.default_rng(7))
+    # one forward over every state, masked by the (n, A) feasibility array
+    enc = np.stack(kernel.indexer.grids(), axis=1) / dqn._encoding_denominators(cfg)
+    whole = np.where(kernel.feasible, net.forward(enc), np.inf).argmin(axis=1)
+    assert len(np.unique(whole)) == 3
+    assert np.array_equal(tabulate_policy(net, kernel), whole)
+    monkeypatch.setattr(mdp, "_CSV_CHUNK_ROWS", 100)  # 656 chunks, the last one short
+    assert np.array_equal(tabulate_policy(net, kernel), whole)
 
 
 def test_tabulate_policy_requires_age_space(small_config):

@@ -27,11 +27,11 @@ from aoi_rl.env import (
     stage_cost,
     step,
     transmit_quanta,
+    with_packet_bits,
 )
 from aoi_rl.channel import sample_level
 from aoi_rl.errors import InfeasibleActionError, InvalidConfigError
 from aoi_rl.mdp import build_kernel, enumerate_states
-from aoi_rl.presets import with_packet_bits
 
 from conftest import make_config, random_tiny_config
 
@@ -486,9 +486,19 @@ def test_config_accepts_top_level_correlated_links():
     assert config_from_dict(data).correlated_links
 
 
+# source count and age state count of each committed config
+_COMMITTED = {
+    "learning_small.yaml": (1, 256),
+    "single_source_large.yaml": (1, 10_000),
+    "two_source.yaml": (2, 1_679_616),
+    "three_source.yaml": (3, 16_777_216),
+}
+
+
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
 def test_committed_config_files_load(path):
-    assert load_config(path).num_sources >= 1
+    config = load_config(path)
+    assert (config.num_sources, enumerate_states(config).total_states) == _COMMITTED[path.name]
 
 
 def test_correlated_links_require_matching_level_counts():

@@ -156,13 +156,6 @@ def test_correlated_kernel_contracts_over_diagonal():
     assert w[kernel.succ_small[0, HARVEST]] == pytest.approx(float(probs @ v[cols]))
 
 
-def test_build_kernel_objective_mismatch():
-    cfg = make_config()
-    idx = enumerate_states(cfg, "age")
-    with pytest.raises(ContractError):
-        build_kernel(cfg, idx, objective="throughput")
-
-
 def test_throughput_rewards():
     cfg = make_config()
     kernel = build_kernel(cfg, enumerate_states(cfg, "throughput"))
@@ -210,6 +203,16 @@ def test_induced_chain_rejects_wrong_shape():
     kernel = build_kernel(cfg, enumerate_states(cfg))
     with pytest.raises(ContractError):
         induced_chain(kernel, np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_induced_chain_rejects_out_of_range_actions(bad):
+    # -1 must not wrap around to the last action (T1 on one source)
+    cfg = make_config()
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    policy = np.where(kernel.feasible[:, 1], bad, HARVEST)
+    with pytest.raises(ContractError, match="0..1"):
+        evaluate_policy(kernel, policy)
 
 
 def _random_feasible_policy(kernel, rng):
@@ -328,12 +331,14 @@ def test_two_source_evaluation_matches_rvia_gain():
     assert (kernel.total_states, kernel.num_actions) == (65_536, 3)
     vt, pt = solve_rvia(kernel)
     assert evaluate_policy(kernel, pt.actions) == pytest.approx(vt.gain, rel=1e-9)
+    # evaluating reads only the per-action tables
+    assert not {"succ_small", "succ_full", "feasible", "cost", "reward_sa"} & kernel.__dict__.keys()
 
 
-def test_class_gain_sparse_branch_matches_dense_solve():
+@pytest.mark.parametrize("m", [2, 100, 2500])
+def test_class_gain_sparse_branch_matches_dense_solve(m):
     # ring 0 -> 1 -> ... -> m-1 -> 0 makes the chain irreducible; three
     # random extra successors per state make it aperiodic and non-trivial
-    m = 2500
     rng = np.random.default_rng(5)
     rows = np.repeat(np.arange(m), 4)
     cols = np.column_stack([(np.arange(m) + 1) % m, rng.integers(m, size=(m, 3))]).ravel()
@@ -566,7 +571,10 @@ def test_derived_arrays_match_nA_builder(case):
     assert np.array_equal(kernel.feasible, feasible)
     assert np.array_equal(kernel.succ_small, succ_small)
     assert np.array_equal(kernel.succ_full, succ_full)
-    assert np.array_equal(kernel.stage_matrix(), stage)
+    if objective == "age":
+        assert np.array_equal(np.broadcast_to(kernel.cost[:, None], stage.shape), stage)
+    else:
+        assert np.array_equal(kernel.reward_sa, stage)
     for arr in (kernel.feasible, kernel.succ_small, kernel.succ_full):
         assert arr.flags.c_contiguous and arr.flags.writeable
 
