@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dqn import DqnHyperparams, QNetwork, greedy_policy_fn, tabulate_policy, train_dqn
@@ -62,7 +61,6 @@ def _write_manifest(
         "versions": {
             "aoi_rl": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     for key, value in [("solver", solver), ("phases", phases), ("slots_per_s", slots_per_s)]:

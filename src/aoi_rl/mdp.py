@@ -3,9 +3,7 @@
 State indexing, the factored transition kernel, relative value iteration
 for the average-cost (age) and average-reward (throughput) objectives, an
 exhaustive policy-enumeration oracle for tiny instances, and exact policy
-evaluation on the post-decision (core) chain. Only that evaluation uses
-``scipy.sparse``, so it is imported there: the CLI commands that never
-evaluate a policy do not pay for loading it.
+evaluation on the post-decision (core) chain, all on numpy alone.
 
 The kernel is kept in factored form: the battery/AoI successor of a
 (state, action) pair is deterministic, and the next channel levels are an
@@ -89,10 +87,6 @@ class StateIndexer:
 
     def index_to_state(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.unravel_index(index, self.dims))
-
-    def grids(self) -> list[np.ndarray]:
-        """One flat array per variable, over all dense indices."""
-        return [g.astype(np.int64) for g in np.unravel_index(np.arange(self.total_states), self.dims)]
 
     def canonical_start_index(self) -> int:
         """Full batteries, AoI 1, lowest channel levels."""
@@ -443,84 +437,146 @@ def _greedy(q: list[np.ndarray], minimize: bool, tolerance: float, best, spare):
 # exact long-run averages of policy-induced chains
 
 
-def _class_gain(P: sp.csr_matrix, members: np.ndarray, stage: np.ndarray) -> float:
-    """Average stage value under the stationary distribution of one
-    recurrent class.
+# largest dense block, in bytes, the chain evaluator solves (11,585 states square)
+_BLOCK_BYTES = 1 << 30
+# (core, core) cells ``induced_chain`` sums at a time
+_CHAIN_CHUNK_CELLS = 1 << 16
 
-    The last member's weight is pinned to 1: the others then solve the
-    nonsingular sparse system (I - Q)^T x = r, with Q the class's
-    transitions among them and r the last member's transitions into them,
-    and normalising gives the distribution. A dense normalisation row
-    would fill in the sparse factorisation.
-    """
+
+@dataclass(frozen=True)
+class CsrMatrix:
+    """Sparse matrix in compressed-row form, laid out and named as in
+    ``scipy.sparse.csr_matrix``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _dense_block(P, index: np.ndarray, rows: int) -> np.ndarray:
+    """Dense (rows, index.max() + 1) array that sums each entry (r, c) of
+    the CSR matrix ``P`` into cell (index[r], index[c]), for the rows with
+    0 <= index[r] < rows; entries in a column with index -1 are dropped.
+    Refuses blocks above ``_BLOCK_BYTES``."""
+    width = int(index.max()) + 1
+    if (nbytes := 8 * rows * width) > _BLOCK_BYTES:
+        raise SizeLimitError(
+            f"a dense block over {rows} states needs {nbytes} bytes, exceeding {_BLOCK_BYTES}"
+        )
+    r = np.where(index < rows, index, -1)[np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))]
+    c = index[P.indices]
+    keep = (r >= 0) & (c >= 0)
+    cells = np.bincount(r[keep] * width + c[keep], weights=P.data[keep], minlength=rows * width)
+    return cells.reshape(rows, width)
+
+
+def _reachable_classes(P, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strongly connected classes of the states reachable from ``start``,
+    from one iterative depth-first pass of Tarjan's algorithm (SIAM J.
+    Comput. 1972) over the CSR matrix ``P``: a label per state (-1 where
+    unreachable) and, per label, whether no transition leaves the class."""
+    n = P.shape[0]
+    ptr, succ = P.indptr.tolist(), P.indices.tolist()
+    order, low, labels = [-1] * n, [0] * n, [-1] * n
+    order[start] = low[start] = found = num_classes = 0
+    # states visited but not yet in a class; a frame is (state, next edge)
+    pending, frames = [start], [(start, ptr[start])]
+    while frames:
+        v, e = frames.pop()
+        while e < ptr[v + 1]:
+            w = succ[e]
+            e += 1
+            if order[w] < 0:
+                found += 1
+                order[w] = low[w] = found
+                pending.append(w)
+                frames += [(v, e), (w, ptr[w])]
+                break
+            if labels[w] < 0 and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            if low[v] == order[v]:
+                while True:
+                    w = pending.pop()
+                    labels[w] = num_classes
+                    if w == v:
+                        break
+                num_classes += 1
+            if frames and low[v] < low[frames[-1][0]]:
+                low[frames[-1][0]] = low[v]
+    labels = np.array(labels)
+    src = labels[np.repeat(np.arange(n), np.diff(P.indptr))]
+    dst = labels[P.indices]
+    closed = np.ones(num_classes, dtype=bool)
+    closed[src[(src >= 0) & (src != dst)]] = False
+    return labels, closed
+
+
+def _class_gain(P, members: np.ndarray, stage: np.ndarray) -> float:
+    """Average stage value under the stationary distribution of one
+    recurrent class of the CSR matrix ``P``. The last member's weight is
+    pinned to 1: the others solve the nonsingular (I - Q)^T x = r, with Q
+    the class's transitions among them and r the last member's transitions
+    into them, and normalising gives the distribution."""
     m = len(members)
     if m == 1:
         return float(stage[members[0]])
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
-
-    sub = P[members][:, members]
-    lhs = (sp.identity(m - 1, format="csr") - sub[:-1, :-1]).T.tocsc()
-    rhs = sub[-1, :-1].toarray().ravel()
-    pi = np.append(spsolve(lhs, rhs), 1.0)
+    index = np.full(P.shape[0], -1)
+    index[members] = np.arange(m)
+    sub = _dense_block(P, index, m)
+    pi = np.append(np.linalg.solve((np.eye(m - 1) - sub[:-1, :-1]).T, sub[-1, :-1]), 1.0)
     pi /= pi.sum()
     return float(pi @ stage[members])
 
 
-def markov_chain_gain(P: sp.csr_matrix, stage: np.ndarray, start: int) -> float:
-    """Long-run average stage value of a Markov chain started at ``start``.
-
-    Gains of the recurrent classes reachable from the start are weighted by
-    their absorption probabilities.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-    from scipy.sparse.linalg import splu
-
-    n = P.shape[0]
-    _, labels = connected_components(P, directed=True, connection="strong")
-    rows_of_nz = np.repeat(np.arange(n), np.diff(P.indptr))
-    leaving = labels[rows_of_nz] != labels[P.indices]
-    open_classes = set(np.unique(labels[rows_of_nz[leaving]]))
-    if labels[start] not in open_classes:
-        members = np.flatnonzero(labels == labels[start])
-        return _class_gain(P, members, stage)
-
-    order = breadth_first_order(P, start, directed=True, return_predecessors=False)
-    reach = np.zeros(n, dtype=bool)
-    reach[order] = True
-    closed_per_state = ~np.isin(labels, sorted(open_classes))
-    closed_reach = sorted(set(labels[reach & closed_per_state]))
-
-    trans_idx = np.flatnonzero(reach & ~closed_per_state)
-    pos = {s: k for k, s in enumerate(trans_idx)}
-    P_tt = P[trans_idx][:, trans_idx]
-    lu = splu(sp.identity(len(trans_idx), format="csc") - P_tt.tocsc())
+def markov_chain_gain(P, stage: np.ndarray, start: int) -> float:
+    """Long-run average stage value of the Markov chain with CSR transition
+    matrix ``P`` (a ``CsrMatrix`` or a ``scipy.sparse.csr_matrix``) started
+    at ``start``: the gains of the closed classes reachable from the start,
+    weighted by their absorption probabilities (Puterman 1994, sections
+    8.2-8.3), which one dense solve over the reachable transient states
+    gives, with a right-hand side per closed class."""
+    labels, closed = _reachable_classes(P, start)
+    if closed[labels[start]]:
+        return _class_gain(P, np.flatnonzero(labels == labels[start]), stage)
+    reached = labels >= 0
+    in_closed = reached & closed[labels]
+    trans = np.flatnonzero(reached & ~in_closed)
+    classes = np.unique(labels[in_closed])
+    t = len(trans)
+    # rows: the transient states; columns: those, then one per closed class
+    index = np.full(P.shape[0], -1)
+    index[trans] = np.arange(t)
+    index[in_closed] = t + np.searchsorted(classes, labels[in_closed])
+    block = _dense_block(P, index, t)
+    absorb = np.linalg.solve(np.eye(t) - block[:, :t], block[:, t:])
     gain = 0.0
-    for cls in closed_reach:
-        members = np.flatnonzero(labels == cls)
-        rhs = np.asarray(P[trans_idx][:, members].sum(axis=1)).ravel()
-        absorb = lu.solve(rhs)
-        p = float(absorb[pos[start]])
+    for cls, p in zip(classes, absorb[np.searchsorted(trans, start)]):
         if p > 0:
-            gain += p * _class_gain(P, members, stage)
-    return gain
+            gain += p * _class_gain(P, np.flatnonzero(labels == cls), stage)
+    return float(gain)
 
 
 def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     """Post-decision (core) chain of a deterministic policy.
 
-    Returns ``(P, stage, start)`` over the channel-free core states. The
-    channel levels of a slot are drawn independently of the core state, so
-    the core sequence is itself Markov: ``P[c, c']`` sums the channel
-    probabilities of the combinations under which the policy moves core
-    ``c`` to ``c'``, and ``stage[c]`` is the channel-averaged stage value
-    of the policy's action. The full chain's stationary law is the core
-    one times the channel pmf. ``start`` is the core the canonical start
-    state moves to under the policy.
+    Returns ``(P, stage, start)`` over the channel-free core states, with
+    ``P`` a ``CsrMatrix``. The channel levels of a slot are drawn
+    independently of the core state, so the core sequence is itself
+    Markov: ``P[c, c']`` sums the channel probabilities of the combinations
+    under which the policy moves core ``c`` to ``c'``, and ``stage[c]`` is
+    the channel-averaged stage value of the policy's action. The full
+    chain's stationary law is the core one times the channel pmf. ``start``
+    is the core the canonical start state moves to under the policy. Rows
+    are summed a chunk of cores at a time into a dense (chunk, cores)
+    buffer of about ``_CHAIN_CHUNK_CELLS`` cells; channel probabilities are
+    positive, so its nonzero cells are the pairs that occur.
     """
-    import scipy.sparse as sp
-
     policy = np.asarray(policy, dtype=np.int64)
     n = kernel.total_states
     if policy.shape != (n,):
@@ -536,13 +592,24 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
             f"policy takes {action_name(int(policy[s]))} in state "
             f"{kernel.indexer.index_to_state(s)} where it is infeasible"
         )
+    value = np.choose(grid, kernel.stage_tables).reshape(n)
     core = len(kernel.core_base)
-    m = len(kernel.chan_offsets)
-    states = kernel.core_base[:, None] + kernel.chan_offsets[None, :]
-    rows = np.repeat(np.arange(core), m)
-    data = np.tile(kernel.chan_probs, core)
-    P = sp.csr_matrix((data, (rows, succ[states].ravel())), shape=(core, core))
-    stage = np.choose(grid, kernel.stage_tables).reshape(n)[states] @ kernel.chan_probs
+    probs = kernel.chan_probs
+    step = max(1, _CHAIN_CHUNK_CELLS // max(core, len(probs)))
+    stage = np.empty(core)
+    row_nnz, indices, data = [], [], []
+    for lo in range(0, core, step):
+        states = kernel.core_base[lo : lo + step, None] + kernel.chan_offsets
+        rows = len(states)
+        stage[lo : lo + rows] = value[states] @ probs
+        cells = (np.arange(rows)[:, None] * core + succ[states]).ravel()
+        sums = np.bincount(cells, weights=np.tile(probs, rows), minlength=rows * core)
+        hit = np.flatnonzero(sums)
+        row_nnz.append(np.bincount(hit // core, minlength=rows))
+        indices.append(hit % core)
+        data.append(sums[hit])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
+    P = CsrMatrix(indptr, np.concatenate(indices), np.concatenate(data), (core, core))
     return P, stage, int(succ[kernel.start_index])
 
 
@@ -659,6 +726,7 @@ def brute_force_oracle(kernel):
 def _display_offsets(indexer: StateIndexer) -> list[int]:
     """What the CSV adds to each 0-based variable: AoI and levels are 1-based."""
     return [0 if name.startswith("b_") else 1 for name in indexer.var_names]
+
 
 
 # rows of a policy file converted or parsed at a time

@@ -338,7 +338,7 @@ def test_train_manifest_records_phase_time_and_slot_rate(tmp_path, config_path, 
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):
-    """Only exact policy evaluation needs scipy.sparse; it loads on first use."""
+    """The CLI, the solver and exact policy evaluation run on numpy alone."""
     src = str(Path(aoi_rl.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
@@ -347,14 +347,14 @@ import sys
 import aoi_rl.cli
 from aoi_rl.env import load_config
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
-assert "scipy.sparse" not in sys.modules, "importing aoi_rl.cli loaded scipy.sparse"
+assert "scipy" not in sys.modules, "importing aoi_rl.cli loaded scipy"
 config = load_config({str(config_path)!r})
 kernel = build_kernel(config, enumerate_states(config))
 vt, pt = solve_rvia(kernel)
-assert "scipy.sparse" not in sys.modules, "solving loaded scipy.sparse"
+assert "scipy" not in sys.modules, "solving loaded scipy"
 gain = evaluate_policy(kernel, pt.actions)
 assert abs(gain - vt.gain) <= 1e-9 * abs(vt.gain), (gain, vt.gain)
-assert "scipy.sparse" in sys.modules
+assert "scipy" not in sys.modules, "evaluating loaded scipy"
 print("ok")
 """
     done = subprocess.run(

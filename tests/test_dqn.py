@@ -620,7 +620,9 @@ def test_tabulate_policy_in_chunks_matches_one_batch(monkeypatch):
     kernel = build_kernel(cfg, enumerate_states(cfg))
     net = QNetwork.create([8, 64, 64, 3], np.random.default_rng(7))
     # one forward over every state, masked by the (n, A) feasibility array
-    enc = np.stack(kernel.indexer.grids(), axis=1) / dqn._encoding_denominators(cfg)
+    idx = kernel.indexer
+    enc = np.stack(np.unravel_index(np.arange(idx.total_states), idx.dims), axis=1)
+    enc = enc / dqn._encoding_denominators(cfg)
     whole = np.where(kernel.feasible, net.forward(enc), np.inf).argmin(axis=1)
     assert len(np.unique(whole)) == 3
     assert np.array_equal(tabulate_policy(net, kernel), whole)

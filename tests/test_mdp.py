@@ -9,6 +9,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import splu, spsolve
 
 from aoi_rl import mdp
 from aoi_rl.env import HARVEST, action_name, energy_tables, load_config, parse_action
@@ -80,7 +82,7 @@ def test_indexer_round_trip(index):
 
 def test_state_to_index_is_row_major_and_checked():
     idx = enumerate_states(make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2))
-    grids = np.stack(idx.grids(), axis=1)
+    grids = np.stack(np.unravel_index(np.arange(idx.total_states), idx.dims), axis=1)
     assert [idx.state_to_index(row) for row in grids] == list(range(idx.total_states))
     assert idx.state_to_index(grids[-1].tolist()) == np.ravel_multi_index(tuple(grids[-1]), idx.dims)
     for bad in ([0] * 7, [0] * 9, [3, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1]):
@@ -231,8 +233,110 @@ def _dense_full_chain_gain(kernel, policy):
     return _dense_chain_gain(P, stage, kernel.start_index)
 
 
+def _scipy_class_gain(P, members, stage):
+    """The pinned-member stationary solve of one recurrent class, on
+    ``scipy.sparse``: the evaluator's earlier implementation, kept as an
+    independent oracle."""
+    m = len(members)
+    if m == 1:
+        return float(stage[members[0]])
+    sub = P[members][:, members]
+    lhs = (sp.identity(m - 1, format="csr") - sub[:-1, :-1]).T.tocsc()
+    rhs = sub[-1, :-1].toarray().ravel()
+    pi = np.append(spsolve(lhs, rhs), 1.0)
+    pi /= pi.sum()
+    return float(pi @ stage[members])
+
+
+def _scipy_chain_gain(P, stage, start):
+    """Long-run average of a ``scipy.sparse`` chain from ``start``: classes
+    from ``csgraph``, absorption from a sparse LU (the evaluator's earlier
+    implementation, kept as an independent oracle)."""
+    n = P.shape[0]
+    _, labels = connected_components(P, directed=True, connection="strong")
+    rows_of_nz = np.repeat(np.arange(n), np.diff(P.indptr))
+    leaving = labels[rows_of_nz] != labels[P.indices]
+    open_classes = set(np.unique(labels[rows_of_nz[leaving]]))
+    if labels[start] not in open_classes:
+        members = np.flatnonzero(labels == labels[start])
+        return _scipy_class_gain(P, members, stage)
+
+    order = breadth_first_order(P, start, directed=True, return_predecessors=False)
+    reach = np.zeros(n, dtype=bool)
+    reach[order] = True
+    closed_per_state = ~np.isin(labels, sorted(open_classes))
+    closed_reach = sorted(set(labels[reach & closed_per_state]))
+
+    trans_idx = np.flatnonzero(reach & ~closed_per_state)
+    pos = {s: k for k, s in enumerate(trans_idx)}
+    P_tt = P[trans_idx][:, trans_idx]
+    lu = splu(sp.identity(len(trans_idx), format="csc") - P_tt.tocsc())
+    gain = 0.0
+    for cls in closed_reach:
+        members = np.flatnonzero(labels == cls)
+        rhs = np.asarray(P[trans_idx][:, members].sum(axis=1)).ravel()
+        absorb = lu.solve(rhs)
+        p = float(absorb[pos[start]])
+        if p > 0:
+            gain += p * _scipy_class_gain(P, members, stage)
+    return gain
+
+
+def _planted_chain(rng, max_states=40):
+    """Random chain with one to three planted closed classes (pure cycles,
+    which are periodic, or cycles with extra edges and self-loops), and
+    transient states each with a path into them. Returns the row-stochastic
+    dense matrix with its states shuffled."""
+    closed = [int(rng.integers(1, 7)) for _ in range(rng.integers(1, 4))]
+    n = int(rng.integers(sum(closed), max_states + 1))
+    W = np.zeros((n, n))
+    first = 0
+    for m in closed:
+        ring = np.arange(first, first + m)
+        W[ring, np.roll(ring, -1)] = rng.uniform(0.5, 1.0, size=m)
+        if rng.random() < 0.5:  # extra edges and self-loops inside the class
+            W[np.ix_(ring, ring)] += rng.uniform(0.1, 1.0, size=(m, m)) * (rng.random((m, m)) < 0.3)
+        first += m
+    for t in range(first, n):
+        # an edge to a closed state or an earlier transient one gives every
+        # transient state a path into a closed class; extra edges (to later
+        # transient states too) make transient cycles and self-loops
+        W[t, rng.integers(0, t)] = rng.uniform(0.1, 1.0)
+        extra = rng.random(n) < 3 / n
+        extra[:first] &= rng.random() < 0.5
+        W[t, extra] += rng.uniform(0.1, 1.0, size=int(extra.sum()))
+    perm = rng.permutation(n)
+    W = W[np.ix_(perm, perm)]
+    return W / W.sum(axis=1, keepdims=True)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chain_gain_matches_scipy_and_dense_oracles(seed):
+    rng = np.random.default_rng(seed)
+    W = _planted_chain(rng)
+    stage = rng.normal(size=len(W))
+    ref = sp.csr_matrix(W)
+    P = mdp.CsrMatrix(ref.indptr, ref.indices, ref.data, ref.shape)
+    for start in range(len(W)):
+        gain = markov_chain_gain(P, stage, start)
+        assert gain == pytest.approx(_scipy_chain_gain(ref, stage, start), rel=1e-9, abs=1e-9)
+        assert gain == pytest.approx(_dense_chain_gain(W, stage, start), rel=1e-9, abs=1e-9)
+
+
+def test_chain_gain_refuses_dense_blocks_above_the_byte_guard(monkeypatch):
+    m = 100
+    ring = sp.csr_matrix((np.ones(m), (np.arange(m), (np.arange(m) + 1) % m)), shape=(m, m))
+    stage = np.arange(m, dtype=float)
+    assert markov_chain_gain(ring, stage, 0) == pytest.approx(stage.mean())
+    monkeypatch.setattr(mdp, "_BLOCK_BYTES", 8 * m * m - 1)
+    with pytest.raises(SizeLimitError, match=r"100 states needs 80000 bytes"):
+        markov_chain_gain(ring, stage, 0)
+
+
 def _sparse_full_chain_gain(kernel, policy):
-    """Full-state chain as one sparse matrix, solved by markov_chain_gain."""
+    """Full-state chain as one sparse matrix, solved by the scipy oracle:
+    a dense solve of its 9,900-state recurrent class would need 784 MB."""
     n = kernel.total_states
     m = len(kernel.chan_offsets)
     base = kernel.succ_full[np.arange(n), policy]
@@ -244,7 +348,7 @@ def _sparse_full_chain_gain(kernel, policy):
         shape=(n, n),
     )
     stage = kernel.cost if kernel.objective == "age" else kernel.reward_sa[np.arange(n), policy]
-    return markov_chain_gain(P, stage, kernel.start_index)
+    return _scipy_chain_gain(P, stage, kernel.start_index)
 
 
 @given(
@@ -323,6 +427,29 @@ def test_core_chain_matches_sparse_full_chain_single_source_large(objective):
         assert evaluate_policy(kernel, policy) == pytest.approx(
             _sparse_full_chain_gain(kernel, policy), rel=1e-9
         ), name
+
+
+def test_induced_chain_matches_scipy_csr_single_source_large():
+    cfg = load_config(ROOT / "configs" / "single_source_large.yaml")
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    n, core, m = kernel.total_states, len(kernel.core_base), len(kernel.chan_offsets)
+    states = kernel.core_base[:, None] + kernel.chan_offsets
+    policies = {
+        "rvia": solve_rvia(kernel)[1].actions,
+        "harvest-only": np.zeros(n, dtype=np.int64),
+        "random": _random_feasible_policy(kernel, np.random.default_rng(11)),
+    }
+    for name, policy in policies.items():
+        P, _, _ = induced_chain(kernel, policy)
+        succ = kernel.succ_small[np.arange(n), policy]
+        ref = sp.csr_matrix(
+            (np.tile(kernel.chan_probs, core), (np.repeat(np.arange(core), m), succ[states].ravel())),
+            shape=(core, core),
+        )
+        ref.sum_duplicates()
+        assert P.shape == ref.shape and P.nnz == ref.nnz, name
+        assert np.array_equal(P.indptr, ref.indptr) and np.array_equal(P.indices, ref.indices), name
+        np.testing.assert_allclose(P.data, ref.data, rtol=1e-12, err_msg=name)
 
 
 def test_two_source_evaluation_matches_rvia_gain():
@@ -434,7 +561,7 @@ def _nA_kernel(config, indexer):
     age = indexer.objective == "age"
     num_actions = N + 1 if age else 2
     vps = indexer.vars_per_source
-    grids = indexer.grids()
+    grids = np.unravel_index(np.arange(n), indexer.dims)
     e_h, e_t = energy_tables(config)
     b = [grids[vps * i] for i in range(N)]
     A = [grids[vps * i + 1] for i in range(N)] if age else None
