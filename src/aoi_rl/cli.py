@@ -12,6 +12,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -199,19 +200,16 @@ def _sweep_point(config: SystemConfig, args, value: float) -> tuple[float, dict 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = [float(v) for v in args.values.split(",")]
-    if any(v <= 0 for v in values):
-        raise SystemExit("sweep values must be positive")
-    gains, stats = zip(*(_sweep_point(config, args, v) for v in values))
+    gains, stats = zip(*(_sweep_point(config, args, v) for v in args.values))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.vary, "gain"])
-        for v, g in zip(values, gains):
+        for v, g in zip(args.values, gains):
             writer.writerow([v, repr(float(g))])
     _write_manifest(out, args.config, args, solver=list(stats) if args.agent == "exact" else None)
-    for v, g in zip(values, gains):
+    for v, g in zip(args.values, gains):
         print(f"{args.vary}={v:g}: gain {g:.6g}")
     return 0
 
@@ -235,6 +233,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _checked(kind, ok, what: str):
+    """argparse type: ``kind(text)`` if it converts and passes ``ok``."""
+
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+
+
+def _positive_floats(text: str) -> list[float]:
+    return [_positive_float(v) for v in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoi-rl",
@@ -246,16 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="relative value iteration on the exact model")
     p.add_argument("--config", required=True)
     p.add_argument("--objective", choices=["age", "throughput"], default="age")
-    p.add_argument("--epsilon", type=float, default=1e-9, help="RVIA span tolerance")
+    p.add_argument("--epsilon", type=_positive_float, default=1e-9, help="RVIA span tolerance")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("train", help="train a learning agent")
     p.add_argument("--config", required=True)
     p.add_argument("--agent", choices=["tabular", "dqn"], default="dqn")
-    p.add_argument("--slots", type=int, default=100_000)
+    p.add_argument("--slots", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=None, help="initial exploration rate")
+    p.add_argument("--epsilon", type=_probability, default=None, help="initial exploration rate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -270,12 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="gain versus a swept system parameter")
     p.add_argument("--config", required=True)
     p.add_argument("--vary", choices=["battery_capacity", "packet_bits"], required=True)
-    p.add_argument("--values", required=True, help="comma-separated (mJ or Mbits)")
+    p.add_argument(
+        "--values", type=_positive_floats, required=True, help="comma-separated (mJ or Mbits)"
+    )
     p.add_argument("--agent", choices=["exact", "tabular", "dqn"], default="exact")
     p.add_argument("--objective", choices=["age", "throughput"], default="age")
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--slots", type=int, default=100_000)
-    p.add_argument("--eval-slots", type=int, default=20_000)
+    p.add_argument("--epsilon", type=_positive_float, default=1e-9)
+    p.add_argument("--slots", type=_positive_int, default=100_000)
+    p.add_argument("--eval-slots", type=_positive_int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -283,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="roll out a stored policy")
     p.add_argument("--config", required=True)
     p.add_argument("--policy", required=True, help="policy CSV or checkpoint (.npz)")
-    p.add_argument("--slots", type=int, default=100_000)
+    p.add_argument("--slots", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
     return parser

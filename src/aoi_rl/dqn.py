@@ -33,6 +33,7 @@ from . import env, mdp
 from .env import State, SystemConfig
 from .errors import ContractError
 from .mdp import TransitionKernel
+from .tabular import Exploration
 
 # states per memo: all of a small chain, the hot states of a large one
 _MEMO_SIZE = 1 << 12
@@ -87,17 +88,12 @@ class QNetwork:
             raise ContractError(
                 f"input width {a.shape[1]} != network input {self.weights[0].shape[0]}"
             )
-        a = self._forward(a)
-        return a[0] if single else a
-
-    def _forward(self, a: np.ndarray) -> np.ndarray:
-        """``forward`` on a float batch of the right width, unchecked."""
         acts = [a, *_activations(self.layer_sizes[1:], len(a))]
         self._forward_into(acts)
-        return acts[-1]
+        return acts[-1][0] if single else acts[-1]
 
     def _forward_into(self, acts: list[np.ndarray]) -> None:
-        """``_forward`` of the batch ``acts[0]``, writing layer k's output
+        """``forward`` of the batch ``acts[0]``, writing layer k's output
         into the preallocated ``acts[k + 1]``."""
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -154,16 +150,12 @@ class ReplayMemory:
 
 
 @dataclass
-class DqnHyperparams:
+class DqnHyperparams(Exploration):
     hidden_sizes: tuple[int, ...] = (64, 64)
     learning_rate: float = 1e-3
     batch_size: int = 32
     replay_capacity: int = 100_000
     target_refresh: int = 1  # snapshot-weight refresh period
-    eps0: float = 0.3
-    eps_min: float = 0.01
-    eps_decay: float = 0.9
-    eps_interval: int = 10_000
     total_slots: int = 100_000
     seed: int = 0
     divergence_limit: float = 1e6
@@ -173,9 +165,6 @@ class DqnHyperparams:
             raise ValueError("target refresh period must be >= 1")
         if self.batch_size < 1 or self.replay_capacity < 1 or self.learning_rate < 0:
             raise ValueError("batch size, capacity and learning rate must be positive")
-
-    def epsilon(self, k: int) -> float:
-        return max(self.eps_min, self.eps0 * self.eps_decay ** (k // self.eps_interval))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +292,7 @@ def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[State], i
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def policy(state: State) -> int:
-        q = net._forward((np.asarray(state, dtype=float) / denoms)[None, :])[0]
+        q = net.forward(np.asarray(state, dtype=float) / denoms)
         feas = env.feasible_actions(config, state)
         return min(feas, key=lambda a: (q[a], a))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -251,7 +252,6 @@ def draw_levels(config: SystemConfig, rng: np.random.Generator) -> Levels:
 class SimulationResult:
     avg_weighted_aoi: float
     avg_throughput_bits: Optional[float]
-    trace: Optional[list] = None
 
 
 def simulate_policy(
@@ -259,7 +259,6 @@ def simulate_policy(
     policy: Callable[[State], int],
     horizon: int,
     seed: int,
-    record_trace: bool = False,
 ) -> SimulationResult:
     """Run the chain for ``horizon`` slots from the canonical start state.
 
@@ -274,7 +273,6 @@ def simulate_policy(
     state = initial_state(config)
     total_cost = 0.0
     transmit_slots = 0
-    trace = [] if record_trace else None
     costs: dict[tuple, float] = {}  # stage cost per AoI tuple
     for _ in range(horizon):
         action = policy(state)
@@ -285,14 +283,12 @@ def simulate_policy(
         total_cost += cost
         if action == 1 and config.num_sources == 1:
             transmit_slots += 1
-        if record_trace:
-            trace.append((state, action))
         state = step(config, state, action, draw_levels(config, rng))
     avg_aoi = total_cost / horizon
     avg_tp = (
         transmit_slots * config.packet_bits / horizon if config.num_sources == 1 else None
     )
-    return SimulationResult(avg_weighted_aoi=avg_aoi, avg_throughput_bits=avg_tp, trace=trace)
+    return SimulationResult(avg_weighted_aoi=avg_aoi, avg_throughput_bits=avg_tp)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +319,19 @@ def _check_keys(data, known: frozenset, where: str) -> None:
         raise InvalidConfigError(f"unknown config key(s) {', '.join(map(str, unknown))} {where}")
 
 
+def _number(data: dict, key: str, source: Optional[int] = None, integer: bool = False):
+    """``data[key]`` as a finite float, or a whole one as an int if ``integer``."""
+    where = "at the top level" if source is None else f"in source {source}"
+    if key not in data:
+        raise InvalidConfigError(f"missing config key {key} {where}")
+    value = data[key]
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)) or integer and value % 1:
+        kind = "an integer" if integer else "a finite number"
+        raise InvalidConfigError(f"config key {key} {where} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def config_from_dict(data: dict) -> SystemConfig:
     _check_keys(data, _CONFIG_KEYS, "at the top level")
     sources = data.get("sources", [])
@@ -330,37 +339,37 @@ def config_from_dict(data: dict) -> SystemConfig:
         raise InvalidConfigError("config key sources must hold a list of source entries")
     for i, s in enumerate(sources, start=1):
         _check_keys(s, _SOURCE_KEYS, f"in source {i}")
-    try:
-        gamma = float(data["reference_gain"])
-        nu = float(data["path_loss_exponent"])
-        sources = tuple(
-            SourceSpec(
-                battery_capacity_joules=float(s["battery_capacity_mj"]) * 1e-3,
-                battery_quanta=int(s["battery_quanta"]),
-                aoi_cap=int(s["aoi_cap"]),
-                weight=float(s["weight"]),
-                link=LinkParams(
-                    distance_m=float(s["distance_m"]),
-                    path_loss_exponent=nu,
-                    reference_gain=gamma,
-                    levels_downlink=int(s["levels_downlink"]),
-                    levels_uplink=int(s["levels_uplink"]),
-                ),
-            )
-            for s in data["sources"]
+    correlated = data.get("correlated_links", False)
+    if not isinstance(correlated, bool):
+        raise InvalidConfigError("config key correlated_links at the top level must be a bool")
+    gamma = _number(data, "reference_gain")
+    nu = _number(data, "path_loss_exponent")
+    sources = tuple(
+        SourceSpec(
+            battery_capacity_joules=_number(s, "battery_capacity_mj", i) * 1e-3,
+            battery_quanta=_number(s, "battery_quanta", i, integer=True),
+            aoi_cap=_number(s, "aoi_cap", i, integer=True),
+            weight=_number(s, "weight", i),
+            link=LinkParams(
+                distance_m=_number(s, "distance_m", i),
+                path_loss_exponent=nu,
+                reference_gain=gamma,
+                levels_downlink=_number(s, "levels_downlink", i, integer=True),
+                levels_uplink=_number(s, "levels_uplink", i, integer=True),
+            ),
         )
-        return SystemConfig(
-            sources=sources,
-            tx_power_dbm=float(data["tx_power_dbm"]),
-            harvest_efficiency=float(data["harvest_efficiency"]),
-            noise_power_dbm=float(data["noise_power_dbm"]),
-            packet_bits=float(data["packet_mbits"]) * 1e6,
-            bandwidth_hz=float(data["bandwidth_mhz"]) * 1e6,
-            rounding_mode=data.get("rounding_mode", "lower-bound"),
-            correlated_links=bool(data.get("correlated_links", False)),
-        )
-    except KeyError as exc:
-        raise InvalidConfigError(f"missing config key: {exc}") from exc
+        for i, s in enumerate(sources, start=1)
+    )
+    return SystemConfig(
+        sources=sources,
+        tx_power_dbm=_number(data, "tx_power_dbm"),
+        harvest_efficiency=_number(data, "harvest_efficiency"),
+        noise_power_dbm=_number(data, "noise_power_dbm"),
+        packet_bits=_number(data, "packet_mbits") * 1e6,
+        bandwidth_hz=_number(data, "bandwidth_mhz") * 1e6,
+        rounding_mode=data.get("rounding_mode", "lower-bound"),
+        correlated_links=correlated,
+    )
 
 
 def with_battery_capacity(config: SystemConfig, joules: float) -> SystemConfig:

@@ -160,7 +160,6 @@ class TransitionKernel:
         vps = indexer.vars_per_source
 
         e_h, e_t = energy_tables(config)
-        self.e_h, self.e_t = e_h, e_t
 
         def axis(k):
             """Values of variable ``k``, full-size on its own axis only."""
@@ -325,9 +324,6 @@ class TransitionKernel:
                 f"action {action_name(a)} infeasible in state {self.indexer.index_to_state(s)}"
             )
         return self.succ_full[s, a] + self.chan_offsets, self.chan_probs
-
-    def feasible_action_list(self, s: int) -> list[int]:
-        return [a for a in range(self.num_actions) if self.feasible[s, a]]
 
 
 def build_kernel(config: SystemConfig, indexer: StateIndexer) -> TransitionKernel:
@@ -779,7 +775,8 @@ def load_policy_csv(path, indexer: StateIndexer):
 
     Parses a chunk of rows at a time, column by column. Fields are plain
     comma-separated text, as the writer leaves them; a row without exactly
-    the state, action and value fields raises ``ValueError``.
+    the state, action and value fields raises ``ValueError``, and a file
+    without exactly one row per state raises ``ContractError``.
     """
     nv = len(indexer.var_names)
     width = nv + 2
@@ -788,6 +785,7 @@ def load_policy_csv(path, indexer: StateIndexer):
     values = np.full(indexer.total_states, np.nan)
     action_of: dict[str, int] = {}
     any_values = False
+    total_rows = 0
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if tuple(header[:nv]) != indexer.var_names:
@@ -798,6 +796,7 @@ def load_policy_csv(path, indexer: StateIndexer):
             text = "".join(lines).replace("\r\n", "\n").rstrip("\n")
             fields = text.replace("\n", ",").split(",")
             rows = len(lines)
+            total_rows += rows
             if len(fields) != width * rows:
                 raise ValueError(f"policy rows must have {width} fields")
             state = np.array([np.fromiter(map(int, fields[k::width]), np.int64, rows) for k in range(nv)])
@@ -810,6 +809,7 @@ def load_policy_csv(path, indexer: StateIndexer):
             if any(column):  # an empty field reads as NaN
                 values[s] = [float(x or "nan") for x in column]
                 any_values = True
-    if (policy < 0).any():
-        raise ContractError("policy file does not cover the full state space")
+    if total_rows != indexer.total_states or (policy < 0).any():
+        n = indexer.total_states
+        raise ContractError(f"{total_rows} policy rows do not cover the {n} states once each")
     return policy, (values if any_values else None)

@@ -10,7 +10,7 @@ machinery but treated as advisory by callers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .mdp import StateIndexer, _display_offsets
 
 # value differences up to this size are not monotonicity violations
 _VALUE_TOL = 1e-7
-# disagreeing states ``diff_policies`` lists
-_DIFF_EXAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -33,18 +31,19 @@ class Violation:
     found: str
 
 
-def _display(indexer: StateIndexer, raw_state: tuple) -> tuple:
-    return tuple(v + off for v, off in zip(raw_state, _display_offsets(indexer)))
-
-
-def _pairs_from_mask(indexer, mask, axis):
-    """States flagged in a boolean array shaped like the state grid,
-    together with their predecessor along ``axis``."""
+def _report(indexer, bad, variable, expected, found, axis=None) -> list[Violation]:
+    """A ``Violation`` per flagged entry of the boolean grid ``bad``, in
+    row-major order: a state that breaks the rule on its own or, with
+    ``axis``, a state and its successor along ``axis`` (``bad`` is then
+    shaped like ``np.diff(grid, axis=axis)``). ``found(state, other)``
+    renders what the grid holds at the two positions."""
+    step = 0 if axis is None else np.eye(bad.ndim, dtype=np.int64)[axis]
+    offsets = np.array(_display_offsets(indexer))
     out = []
-    for pos in np.argwhere(mask):
-        prev = list(pos)
-        prev[axis] -= 1
-        out.append((tuple(int(x) for x in prev), tuple(int(x) for x in pos)))
+    for state in np.argwhere(bad):
+        other = state + step
+        shown = (tuple((pos + offsets).tolist()) for pos in (state, other))
+        out.append(Violation(variable, *shown, expected, found(tuple(state), tuple(other))))
     return out
 
 
@@ -63,24 +62,10 @@ def check_value_monotone_age(indexer: StateIndexer, values: np.ndarray) -> list[
         else:
             bad = d > _VALUE_TOL  # must be non-increasing
             expected = "value non-increasing"
-        for prev, pos in _pairs_from_mask(indexer, _pad_diff(bad, axis), axis):
-            violations.append(
-                Violation(
-                    variable=name,
-                    state=_display(indexer, prev),
-                    other=_display(indexer, pos),
-                    expected=expected,
-                    found=f"{v[prev]:.9g} -> {v[pos]:.9g}",
-                )
-            )
+        violations += _report(
+            indexer, bad, name, expected, lambda lo, hi: f"{v[lo]:.9g} -> {v[hi]:.9g}", axis
+        )
     return violations
-
-
-def _pad_diff(bad: np.ndarray, axis: int) -> np.ndarray:
-    """Align a diff-shaped mask with the full grid (flag the upper state)."""
-    pad = [(0, 0)] * bad.ndim
-    pad[axis] = (1, 0)
-    return np.pad(bad, pad)
 
 
 def check_threshold_aoi(indexer: StateIndexer, policy: np.ndarray) -> list[Violation]:
@@ -93,19 +78,11 @@ def check_threshold_aoi(indexer: StateIndexer, policy: np.ndarray) -> list[Viola
     for j in range(1, indexer.num_sources + 1):
         axis = indexer.var_names.index(f"A_{j}")
         is_tj = p == j
-        cum = np.maximum.accumulate(is_tj, axis=axis)
-        bad = cum & ~is_tj
-        for pos in np.argwhere(bad):
-            pos = tuple(int(x) for x in pos)
-            violations.append(
-                Violation(
-                    variable=f"A_{j}",
-                    state=_display(indexer, pos),
-                    other=_display(indexer, pos),
-                    expected=f"T{j} (forced by smaller-AoI state)",
-                    found=action_name(int(p[pos])),
-                )
-            )
+        bad = np.maximum.accumulate(is_tj, axis=axis) & ~is_tj
+        expected = f"T{j} (forced by smaller-AoI state)"
+        violations += _report(
+            indexer, bad, f"A_{j}", expected, lambda pos, _: action_name(int(p[pos]))
+        )
     return violations
 
 
@@ -147,32 +124,19 @@ def check_threshold_single_source(
     p = np.asarray(policy).reshape(indexer.dims)
     in_set = _threshold_set(indexer, config)
     transmit = (p == 1) & in_set
-    violations = []
     # The set is upward-closed along every axis, so axis-wise closure of the
     # transmit region equals its closure under the product order.
     closure = transmit.copy()
     for axis in range(len(indexer.dims)):
         closure = np.maximum.accumulate(closure, axis=axis)
     bad = closure & in_set & (p != 1)
-    for pos in np.argwhere(bad):
-        pos = tuple(int(x) for x in pos)
-        violations.append(
-            Violation(
-                variable="all",
-                state=_display(indexer, pos),
-                other=_display(indexer, pos),
-                expected="T1 (forced by dominated transmitting state)",
-                found=action_name(int(p[pos])),
-            )
-        )
-    return violations
+    expected = "T1 (forced by dominated transmitting state)"
+    return _report(indexer, bad, "all", expected, lambda pos, _: action_name(int(p[pos])))
 
 
 @dataclass
 class PolicyDiff:
     per_aoi_counts: dict[int, int]
-    total: int
-    examples: list[tuple] = field(default_factory=list)
 
 
 def diff_policies(
@@ -193,25 +157,8 @@ def diff_policies(
         )
     pa = np.asarray(age_policy).reshape(age_indexer.dims)
     pt = np.asarray(throughput_policy).reshape(throughput_indexer.dims)
-    counts = {}
-    examples = []
-    total = 0
-    for a_idx in range(A):
-        disagree = pa[:, a_idx, :, :] != pt
-        c = int(disagree.sum())
-        counts[a_idx + 1] = c
-        total += c
-        if c and len(examples) < _DIFF_EXAMPLES:
-            for pos in np.argwhere(disagree)[: _DIFF_EXAMPLES - len(examples)]:
-                bi, gi, hi = (int(x) for x in pos)
-                examples.append(
-                    (
-                        (bi, a_idx + 1, gi + 1, hi + 1),
-                        action_name(int(pa[bi, a_idx, gi, hi])),
-                        action_name(int(pt[bi, gi, hi])),
-                    )
-                )
-    return PolicyDiff(per_aoi_counts=counts, total=total, examples=examples)
+    counts = {a_idx + 1: int((pa[:, a_idx, :, :] != pt).sum()) for a_idx in range(A)}
+    return PolicyDiff(per_aoi_counts=counts)
 
 
 def export_violations_csv(path, violations: list[Violation]) -> None:

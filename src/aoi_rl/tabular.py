@@ -17,22 +17,28 @@ from .mdp import TransitionKernel, build_kernel, enumerate_states
 
 
 @dataclass
-class LearningSchedule:
-    """Step sizes satisfying the usual divergent-sum / square-summable
-    conditions, and a staircase exploration decay."""
+class Exploration:
+    """Staircase exploration decay, shared by both learners: ``eps0``
+    shrinks by ``eps_decay`` every ``eps_interval`` slots, down to ``eps_min``."""
 
-    alpha0: float = 0.5
-    alpha_tau: float = 1e4
     eps0: float = 0.3
     eps_min: float = 0.01
     eps_decay: float = 0.9
     eps_interval: int = 10_000
 
-    def alpha(self, k: int) -> float:
-        return self.alpha0 * self.alpha_tau / (self.alpha_tau + k)
-
     def epsilon(self, k: int) -> float:
         return max(self.eps_min, self.eps0 * self.eps_decay ** (k // self.eps_interval))
+
+
+@dataclass
+class LearningSchedule(Exploration):
+    """Step sizes with a divergent sum and a summable square, and the exploration decay."""
+
+    alpha0: float = 0.5
+    alpha_tau: float = 1e4
+
+    def alpha(self, k: int) -> float:
+        return self.alpha0 * self.alpha_tau / (self.alpha_tau + k)
 
 
 @dataclass
@@ -57,9 +63,6 @@ class QTable:
     def greedy_policy(self) -> np.ndarray:
         masked = np.where(self.feasible, self.q, np.inf)
         return masked.argmin(axis=1).astype(np.int64)
-
-    def gain_estimate(self) -> float:
-        return self.best_value(self.reference_state)
 
 
 def q_update(

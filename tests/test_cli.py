@@ -337,13 +337,48 @@ def test_train_manifest_records_phase_time_and_slot_rate(tmp_path, config_path, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--agent", "tabular", "--slots", "0"], "--slots"),
+        (["train", "--agent", "dqn", "--slots", "0"], "--slots"),
+        (["train", "--slots", "-3"], "--slots"),
+        (["train", "--slots", "2.5"], "--slots"),
+        (["train", "--epsilon", "1.5"], "--epsilon"),
+        (["train", "--epsilon", "-0.1"], "--epsilon"),
+        (["train", "--epsilon", "nan"], "--epsilon"),
+        (["solve", "--epsilon", "0"], "--epsilon"),
+        (["solve", "--epsilon", "inf"], "--epsilon"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--epsilon", "-1"], "--epsilon"),
+        (["sweep", "--vary", "packet_bits", "--values", "12,x"], "--values"),
+        (["sweep", "--vary", "packet_bits", "--values", "12,0"], "--values"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--eval-slots", "0"], "--eval-slots"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--slots", "0"], "--slots"),
+        (["simulate", "--policy", "policy.csv", "--slots", "0"], "--slots"),
+    ],
+)
+def test_cli_refuses_unusable_counts_and_tolerances(tmp_path, config_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    argv = [*argv, "--config", str(config_path)]
+    if argv[0] != "simulate":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):
-    """The CLI, the solver and exact policy evaluation run on numpy alone."""
+    """The CLI, the solver and exact policy evaluation run on numpy alone;
+    the package root holds ``__version__`` and no other public name."""
     src = str(Path(aoi_rl.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     script = f"""
 import sys
+import aoi_rl
+assert [n for n in vars(aoi_rl) if not n.startswith("_")] == [], "the package root exports names"
 import aoi_rl.cli
 from aoi_rl.env import load_config
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia

@@ -204,7 +204,7 @@ def test_stepper_matches_kernel(name):
     assert len(combos) == len(kernel.chan_offsets)
     for s in range(kernel.total_states):
         state = kernel.indexer.index_to_state(s)
-        assert feasible_actions(cfg, state) == kernel.feasible_action_list(s)
+        assert feasible_actions(cfg, state) == np.flatnonzero(kernel.feasible[s]).tolist()
         assert stage_cost(cfg, state) == pytest.approx(kernel.cost[s], abs=1e-12, rel=0)
         for a in range(kernel.num_actions):
             if not kernel.feasible[s, a]:
@@ -227,15 +227,28 @@ def test_action_names_round_trip():
 # --- simulation -----------------------------------------------------------
 
 
+def _simulate_traced(config, policy, horizon, seed):
+    """``simulate_policy``, plus the (state, action) pair of every slot as
+    the policy saw and chose it."""
+    trace = []
+
+    def recorded(state):
+        action = policy(state)
+        trace.append((state, action))
+        return action
+
+    return simulate_policy(config, recorded, horizon, seed), trace
+
+
 def test_simulate_policy_deterministic_per_seed():
     cfg = make_config()
     policy = lambda state: HARVEST  # noqa: E731
-    a = simulate_policy(cfg, policy, 200, seed=5, record_trace=True)
-    b = simulate_policy(cfg, policy, 200, seed=5, record_trace=True)
-    c = simulate_policy(cfg, policy, 200, seed=6, record_trace=True)
+    a, a_trace = _simulate_traced(cfg, policy, 200, seed=5)
+    b, b_trace = _simulate_traced(cfg, policy, 200, seed=5)
+    _, c_trace = _simulate_traced(cfg, policy, 200, seed=6)
     assert a.avg_weighted_aoi == b.avg_weighted_aoi
-    assert a.trace == b.trace
-    assert a.trace != c.trace  # different seed, different channel draws
+    assert a_trace == b_trace
+    assert a_trace != c_trace  # different seed, different channel draws
 
 
 def test_simulate_always_harvest_pins_aoi_at_cap():
@@ -256,17 +269,17 @@ def test_simulate_policy_validates_feasibility():
 
 def test_simulate_records_trace_and_initial_state():
     cfg = make_config()
-    sim = simulate_policy(cfg, lambda s: HARVEST, 10, seed=0, record_trace=True)
-    assert len(sim.trace) == 10
-    first_state, first_action = sim.trace[0]
+    _, trace = _simulate_traced(cfg, lambda s: HARVEST, 10, seed=0)
+    assert len(trace) == 10
+    first_state, first_action = trace[0]
     assert first_state == initial_state(cfg)
     assert first_action == HARVEST
 
 
 def test_correlated_links_tie_levels_together():
     cfg = make_config(correlated_links=True)
-    sim = simulate_policy(cfg, lambda s: HARVEST, 500, seed=1, record_trace=True)
-    for state, _ in sim.trace:
+    _, trace = _simulate_traced(cfg, lambda s: HARVEST, 500, seed=1)
+    for state, _ in trace:
         assert state[2] == state[3]
 
 
@@ -362,11 +375,11 @@ def _policies(config):
 def test_simulate_policy_matches_dataclass_reference():
     for n, cfg in enumerate(_table_configs()):
         for policy in _policies(cfg):
-            sim = simulate_policy(cfg, policy, 300, seed=n, record_trace=True)
+            sim, sim_trace = _simulate_traced(cfg, policy, 300, seed=n)
             avg, throughput, trace = _reference_simulate(cfg, policy, 300, seed=n)
             assert sim.avg_weighted_aoi == avg
             assert sim.avg_throughput_bits == throughput
-            assert sim.trace == trace
+            assert sim_trace == trace
 
 
 def test_simulate_policy_cost_memo_matches_per_slot_cost():
@@ -382,9 +395,9 @@ def test_simulate_policy_cost_memo_matches_per_slot_cost():
             total += float(config.weights @ (np.array(state[1::4]) + 1))
             trace.append((state, action))
             state = step(config, state, action, draw_levels(config, rng))
-        sim = simulate_policy(config, policy, 2000, seed=11, record_trace=True)
+        sim, sim_trace = _simulate_traced(config, policy, 2000, seed=11)
         assert sim.avg_weighted_aoi == total / 2000
-        assert sim.trace == trace
+        assert sim_trace == trace
     assert len({s[1::4] for s, _ in trace}) > 10  # many AoI tuples were visited
 
 
@@ -480,6 +493,40 @@ def test_config_rejects_malformed_sources(sources):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("correlated_links", "false", "top level"),
+        ("correlated_links", 1, "top level"),
+        ("battery_quanta", 2.7, "source 1"),
+        ("levels_downlink", 1.9, "source 1"),
+        ("battery_quanta", True, "source 1"),
+        ("battery_quanta", "x", "source 1"),
+        ("aoi_cap", None, "source 1"),
+        ("weight", True, "source 1"),
+        ("tx_power_dbm", None, "top level"),
+        ("tx_power_dbm", "37", "top level"),
+        ("tx_power_dbm", float("nan"), "top level"),
+        ("distance_m", float("inf"), "source 1"),
+        ("aoi_cap", float("inf"), "source 1"),
+        ("packet_mbits", False, "top level"),
+    ],
+)
+def test_config_refuses_values_of_the_wrong_type(key, value, where):
+    data = _config_dict()
+    (data if where == "top level" else data["sources"][0])[key] = value
+    with pytest.raises(InvalidConfigError, match=f"{key}.*{where}"):
+        config_from_dict(data)
+
+
+def test_config_takes_integral_floats_for_integer_keys():
+    data = _config_dict()
+    data["sources"][0].update(battery_quanta=3.0, levels_uplink=4.0)
+    config = config_from_dict(data)
+    assert config.sources == config_from_dict(_config_dict()).sources
+    assert type(config.sources[0].battery_quanta) is int
+
+
 def test_config_accepts_top_level_correlated_links():
     data = _config_dict()
     data["correlated_links"] = True
@@ -499,6 +546,19 @@ _COMMITTED = {
 def test_committed_config_files_load(path):
     config = load_config(path)
     assert (config.num_sources, enumerate_states(config).total_states) == _COMMITTED[path.name]
+
+
+@pytest.mark.parametrize("path", [*CONFIG_FILES, None], ids=lambda p: p.name if p else "correlated")
+def test_channel_combinations_are_equiprobable(path):
+    """The learners and ``draw_levels`` pick channel combinations uniformly
+    (``train_tabular`` indexes ``chan_offsets`` with one uniform draw), while
+    the kernel weights them by ``chan_probs``. The two agree only while the
+    quantizer bins are equally likely."""
+    config = load_config(path) if path else make_config(correlated_links=True)
+    kernel = build_kernel(config, enumerate_states(config))
+    probs = kernel.chan_probs
+    assert np.all(probs == probs[0])
+    assert probs[0] * len(probs) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_correlated_links_require_matching_level_counts():

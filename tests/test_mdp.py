@@ -104,7 +104,7 @@ def test_kernel_rows_sum_to_one():
     cfg = make_config(battery_quanta=2, aoi_cap=3, levels=3)
     kernel = build_kernel(cfg, enumerate_states(cfg))
     for s in range(0, kernel.total_states, 7):
-        for a in kernel.feasible_action_list(s):
+        for a in np.flatnonzero(kernel.feasible[s]):
             _, probs = kernel.row(s, a)
             assert probs.sum() == pytest.approx(1.0)
 
@@ -140,7 +140,7 @@ def test_contract_channels_matches_row_expectation():
     v = rng.normal(size=kernel.total_states)
     w = kernel.contract_channels(v)
     for s in (0, 5, 17):
-        for a in kernel.feasible_action_list(s):
+        for a in np.flatnonzero(kernel.feasible[s]):
             cols, probs = kernel.row(s, a)
             assert w[kernel.succ_small[s, a]] == pytest.approx(float(probs @ v[cols]))
 
@@ -400,7 +400,8 @@ def test_core_chain_starts_at_successor_of_start_state():
         packet_mbits=7.36,
     )
     kernel = build_kernel(cfg, enumerate_states(cfg))
-    assert kernel.e_h[0].tolist() == [1] and kernel.e_t[0].tolist() == [1, 1]
+    e_h, e_t = energy_tables(cfg)
+    assert e_h[0].tolist() == [1] and e_t[0].tolist() == [1, 1]
     transmit = {(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 1)}  # 0-based (b, A, g, h)
     policy = np.array(
         [int(kernel.indexer.index_to_state(s) in transmit) for s in range(kernel.total_states)]
@@ -822,6 +823,12 @@ def test_policy_csv_load_reads_lf_files_and_rejects_gaps(tmp_path, small_config,
     policy, values = load_policy_csv(lf, kernel.indexer)
     assert np.array_equal(policy, pt.actions) and np.array_equal(values, vt.values)
     lf.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ContractError, match="cover"):
+        load_policy_csv(lf, kernel.indexer)
+    # a state listed twice, the second time with another action
+    state, action, value = lines[1].rsplit(",", 2)
+    other = "H" if action != "H" else "T1"
+    lf.write_text("\n".join([*lines, f"{state},{other},{value}"]) + "\n")
     with pytest.raises(ContractError, match="cover"):
         load_policy_csv(lf, kernel.indexer)
     lf.write_text("\n".join(lines[:2] + [lines[2] + ",extra"]) + "\n")

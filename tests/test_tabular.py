@@ -31,7 +31,7 @@ def test_greedy_respects_feasibility():
 
 def test_gain_estimate_is_reference_best_value():
     qt = _toy_qtable()
-    assert qt.gain_estimate() == 1.0
+    assert qt.best_value(qt.reference_state) == 1.0
 
 
 def test_q_update_hand_arithmetic():
@@ -128,7 +128,7 @@ def _reference_train_tabular(config, total_slots, seed, schedule=None):
         a = epsilon_greedy(qt, s, schedule.epsilon(k), rng)
         s_next = int(succ[s, a] + offsets[rng.integers(n_combos)])
         q_update(qt, s, a, float(kernel.cost[s]), s_next, schedule.alpha(k))
-        trace[k] = qt.gain_estimate()
+        trace[k] = qt.best_value(qt.reference_state)
         s = s_next
     return qt, trace
 
