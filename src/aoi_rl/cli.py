@@ -37,7 +37,7 @@ from .structure import (
     check_value_monotone_age,
     export_violations_csv,
 )
-from .tabular import LearningSchedule, train_tabular
+from .tabular import DEFAULT_EPS0, train_tabular
 
 
 def _write_manifest(
@@ -109,19 +109,14 @@ def cmd_train(args) -> int:
     skipped = {}
     started = time.perf_counter()
     if args.agent == "tabular":
-        schedule = LearningSchedule()
-        if args.epsilon is not None:
-            schedule.eps0 = args.epsilon
         kernel = build_kernel(config, enumerate_states(config, "age"))
-        qt, trace = train_tabular(config, args.slots, args.seed, schedule=schedule, kernel=kernel)
+        qt, trace = train_tabular(config, args.slots, args.seed, eps0=args.epsilon, kernel=kernel)
         train_s = time.perf_counter() - started
         _write_trace_csv(out / "trace.csv", ["slot", "gain_estimate"], trace)
         export_policy_csv(out / "policy.csv", kernel.indexer, qt.greedy_policy())
         final = trace[-1]
     else:
-        hyper = DqnHyperparams(total_slots=args.slots, seed=args.seed)
-        if args.epsilon is not None:
-            hyper.eps0 = args.epsilon
+        hyper = DqnHyperparams(total_slots=args.slots, seed=args.seed, eps0=args.epsilon)
         result = train_dqn(config, hyper)
         train_s = time.perf_counter() - started
         _write_trace_csv(
@@ -276,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", choices=["tabular", "dqn"], default="dqn")
     p.add_argument("--slots", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=_probability, default=None, help="initial exploration rate")
+    p.add_argument(
+        "--epsilon", type=_probability, default=DEFAULT_EPS0, help="initial exploration rate"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -313,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and args.agent != "exact" and args.objective != "age":
+        parser.error(f"argument --objective: the {args.agent} agent learns the age objective only")
     return args.func(args)
 
 

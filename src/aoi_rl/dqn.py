@@ -33,10 +33,16 @@ from . import env, mdp
 from .env import State, SystemConfig
 from .errors import ContractError
 from .mdp import TransitionKernel
-from .tabular import Exploration
+from .tabular import DEFAULT_EPS0, epsilon
 
 # states per memo: all of a small chain, the hot states of a large one
 _MEMO_SIZE = 1 << 12
+# the network's hidden layer widths and the SGD step size
+_HIDDEN_SIZES, _LEARNING_RATE = (64, 64), 1e-3
+# experiences per gradient step, and the most the replay memory keeps
+_BATCH_SIZE, _REPLAY_CAPACITY = 32, 100_000
+# training stops once a reference-state Q-value exceeds this magnitude
+_DIVERGENCE_LIMIT = 1e6
 
 
 class QNetwork:
@@ -150,21 +156,10 @@ class ReplayMemory:
 
 
 @dataclass
-class DqnHyperparams(Exploration):
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    replay_capacity: int = 100_000
-    target_refresh: int = 1  # snapshot-weight refresh period
+class DqnHyperparams:
     total_slots: int = 100_000
     seed: int = 0
-    divergence_limit: float = 1e6
-
-    def __post_init__(self):
-        if self.target_refresh < 1:
-            raise ValueError("target refresh period must be >= 1")
-        if self.batch_size < 1 or self.replay_capacity < 1 or self.learning_rate < 0:
-            raise ValueError("batch size, capacity and learning rate must be positive")
+    eps0: float = DEFAULT_EPS0  # initial exploration rate
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +167,8 @@ class DqnHyperparams(Exploration):
 
 
 def _encoding_denominators(config: SystemConfig) -> np.ndarray:
+    """The network input is the state tuple divided by these: per source,
+    (battery, AoI, downlink, uplink) scaled into [0, 1]."""
     denoms = []
     for s in config.sources:
         denoms += [
@@ -181,11 +178,6 @@ def _encoding_denominators(config: SystemConfig) -> np.ndarray:
             max(s.link.levels_uplink - 1, 1),
         ]
     return np.array(denoms, dtype=float)
-
-
-def encode_state(config: SystemConfig, state: State) -> np.ndarray:
-    """Per-source (battery, AoI, downlink, uplink) scaled into [0, 1]."""
-    return np.asarray(state, dtype=float) / _encoding_denominators(config)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +191,8 @@ def batch_targets(prev_net, costs, enc_next, masks_next, enc_ref, mask_ref) -> n
 
 
 def _relative_targets(costs, q_next, masks_next, ref_best) -> np.ndarray:
-    """Batch targets from the snapshot's next-state Q-values and its best
-    feasible Q-value at the reference state."""
+    """Batch targets from the next-state Q-values and the best feasible
+    Q-value at the reference state, both of the network before the update."""
     return costs + np.where(masks_next, q_next, np.inf).min(axis=1) - ref_best
 
 
@@ -301,22 +293,20 @@ def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[State], i
 
 def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     """Sequential loop: mask-aware epsilon-greedy action, environment step,
-    replay insertion, batched target computation against the snapshot
-    weights, one SGD step; the snapshot refreshes every target_refresh
-    slots.
+    replay insertion, batched targets, one SGD step.
 
-    The loop computes what ``batch_targets`` and ``gradient_step`` would,
-    on the same batch shapes and in the same order, in reused arrays and
-    without their per-call checks. With a refresh period of one the
-    snapshot is the live network itself (no copy): its s' forward runs
-    before the update. The snapshot's reference value is the one the live
-    network had when the snapshot was taken, so it is not recomputed.
+    The targets come from the live network before this slot's update: its
+    forward of the sampled s' rows, and the best reference-state value it
+    gave at the end of the previous slot. The loop computes what
+    ``batch_targets`` and ``gradient_step`` would, on the same batch shapes
+    and in the same order, in reused arrays and without their per-call
+    checks.
     """
     rng = np.random.default_rng(hyper.seed)
     num_actions = config.num_sources + 1
-    sizes = [4 * config.num_sources, *hyper.hidden_sizes, num_actions]
+    sizes = [4 * config.num_sources, *_HIDDEN_SIZES, num_actions]
     net = QNetwork.create(sizes, rng)
-    memory = ReplayMemory(hyper.replay_capacity, sizes[0], num_actions)
+    memory = ReplayMemory(_REPLAY_CAPACITY, sizes[0], num_actions)
     denoms = _encoding_denominators(config)
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -335,7 +325,7 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     loss_trace = np.full(hyper.total_slots, np.nan)
 
     # batch workspace: the sampled s rows and, apart, their s' rows
-    B = hyper.batch_size
+    B = _BATCH_SIZE
     acts_s = _activations(sizes, B)
     acts_next = _activations(sizes, B)
     deltas = _activations(sizes[1:], B)
@@ -349,10 +339,7 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     state = env.initial_state(config)
     enc_s, mask, feas, cost = observe(state)
     for k in range(hyper.total_slots):
-        if k % hyper.target_refresh == 0:
-            snapshot = net if hyper.target_refresh == 1 else net.copy()
-            snapshot_ref_best = ref_best
-        eps = hyper.epsilon(k)
+        eps = epsilon(hyper.eps0, k)
         if rng.random() < eps:
             action = int(feas[rng.integers(len(feas))])
         else:
@@ -366,24 +353,22 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
         if memory.size >= B:
             idx = memory.sample(B, rng)
             np.take(memory.enc_next, idx, axis=0, out=acts_next[0])
-            snapshot._forward_into(acts_next)
+            net._forward_into(acts_next)
             targets = _relative_targets(
-                memory.costs[idx], acts_next[-1], memory.mask_next[idx], snapshot_ref_best
+                memory.costs[idx], acts_next[-1], memory.mask_next[idx], ref_best
             )
             np.take(memory.enc_s, idx, axis=0, out=acts_s[0])
             net._forward_into(acts_s)
             loss = _backward(net, acts_s, deltas, memory.actions[idx], targets, grads_w, grads_b)
-            _update(net, grads, hyper.learning_rate, loss)
+            _update(net, grads, _LEARNING_RATE, loss)
             loss_trace[k] = loss
 
         net._forward_into(ref_acts)
         q_ref = ref_acts[-1][0]
         ref_best = gain_trace[k] = q_ref[ref_mask].min()
         eps_trace[k] = eps
-        if np.abs(q_ref).max() > hyper.divergence_limit:
-            raise FloatingPointError(
-                f"Q-values diverged beyond {hyper.divergence_limit} at slot {k}"
-            )
+        if np.abs(q_ref).max() > _DIVERGENCE_LIMIT:
+            raise FloatingPointError(f"Q-values diverged beyond {_DIVERGENCE_LIMIT} at slot {k}")
         enc_s, mask, feas, cost = enc_next, mask_next, feas_next, cost_next
 
     return DqnResult(

@@ -46,6 +46,8 @@ from .errors import (
 STATE_LIMIT = 20_000_000
 # weight of the new iterate in each damped RVIA update
 _DAMPING = 0.5
+# RVIA sweeps before it gives up with a ConvergenceError
+_MAX_SWEEPS = 200_000
 # largest kernel the exhaustive policy oracle takes
 _ORACLE_STATES, _ORACLE_ACTIONS = 12, 3
 
@@ -344,12 +346,7 @@ class PolicyTable:
     stats: Optional[dict] = None
 
 
-def solve_rvia(
-    kernel: TransitionKernel,
-    epsilon: float = 1e-9,
-    max_sweeps: int = 200_000,
-    initial_values: Optional[np.ndarray] = None,
-) -> tuple[ValueTable, PolicyTable]:
+def solve_rvia(kernel: TransitionKernel, epsilon: float = 1e-9) -> tuple[ValueTable, PolicyTable]:
     """Relative value iteration until the Bellman-update span drops below
     ``epsilon``. Gain is the midpoint of the final update differences,
     which bracket the optimal average for any iterate.
@@ -373,14 +370,14 @@ def solve_rvia(
     best_of = np.minimum if minimize else np.maximum
     # the extended w's last entry is what an infeasible action (core -1) gets
     bad = np.inf if minimize else -np.inf
-    v = np.zeros(n) if initial_values is None else np.asarray(initial_values, dtype=float).copy()
+    v = np.zeros(n)
     tables = list(zip(kernel.stage_tables, kernel.succ_tables))
     dims = kernel.indexer.dims
     # full-state buffers, reused by every sweep
     tv_grid = np.empty(dims)
     tv = tv_grid.reshape(n)
     diff = np.empty(n)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         w = np.append(kernel.contract_channels(v), bad)
         q = [stage + w[succ] for stage, succ in tables]
         best_of(reduce(best_of, q[:-1]), q[-1], out=tv_grid)
@@ -404,7 +401,7 @@ def solve_rvia(
                 actions=actions, gain=gain, stats=stats
             )
     raise ConvergenceError(
-        f"no convergence after {max_sweeps} sweeps; current span {hi - lo:.3e}"
+        f"no convergence after {_MAX_SWEEPS} sweeps; current span {hi - lo:.3e}"
     )
 
 
@@ -775,12 +772,14 @@ def load_policy_csv(path, indexer: StateIndexer):
 
     Parses a chunk of rows at a time, column by column. Fields are plain
     comma-separated text, as the writer leaves them; a row without exactly
-    the state, action and value fields raises ``ValueError``, and a file
-    without exactly one row per state raises ``ContractError``.
+    the state, action and value fields raises ``ValueError``, and a state
+    off the grid, or a file without exactly one row per state, raises
+    ``ContractError``.
     """
     nv = len(indexer.var_names)
     width = nv + 2
     offsets = np.array(_display_offsets(indexer))[:, None]
+    dims = np.array(indexer.dims)[:, None]
     policy = np.full(indexer.total_states, -1, dtype=np.int64)
     values = np.full(indexer.total_states, np.nan)
     action_of: dict[str, int] = {}
@@ -800,7 +799,12 @@ def load_policy_csv(path, indexer: StateIndexer):
             if len(fields) != width * rows:
                 raise ValueError(f"policy rows must have {width} fields")
             state = np.array([np.fromiter(map(int, fields[k::width]), np.int64, rows) for k in range(nv)])
-            s = np.ravel_multi_index(tuple(state - offsets), indexer.dims)
+            grid = state - offsets
+            outside = ((grid < 0) | (grid >= dims)).any(axis=0)
+            if outside.any():
+                first = ", ".join(map("{}={}".format, indexer.var_names, state[:, outside.argmax()]))
+                raise ContractError(f"policy state ({first}) lies off the grid of dims {indexer.dims}")
+            s = np.ravel_multi_index(tuple(grid), indexer.dims)
             names = fields[nv::width]
             for name in set(names) - action_of.keys():
                 action_of[name] = parse_action(name)

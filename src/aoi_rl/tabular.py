@@ -7,7 +7,7 @@ actions at the reference state estimates the optimal average cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,29 +16,23 @@ from .env import SystemConfig
 from .mdp import TransitionKernel, build_kernel, enumerate_states
 
 
-@dataclass
-class Exploration:
+# initial exploration rate of both learners
+DEFAULT_EPS0 = 0.3
+# the exploration floor, the staircase factor and its slot interval
+_EPS_MIN, _EPS_DECAY, _EPS_INTERVAL = 0.01, 0.9, 10_000
+
+
+def epsilon(eps0: float, k: int) -> float:
     """Staircase exploration decay, shared by both learners: ``eps0``
-    shrinks by ``eps_decay`` every ``eps_interval`` slots, down to ``eps_min``."""
-
-    eps0: float = 0.3
-    eps_min: float = 0.01
-    eps_decay: float = 0.9
-    eps_interval: int = 10_000
-
-    def epsilon(self, k: int) -> float:
-        return max(self.eps_min, self.eps0 * self.eps_decay ** (k // self.eps_interval))
+    shrinks by ``_EPS_DECAY`` every ``_EPS_INTERVAL`` slots, down to the
+    floor ``_EPS_MIN`` or ``eps0``, whichever is lower."""
+    return max(min(eps0, _EPS_MIN), eps0 * _EPS_DECAY ** (k // _EPS_INTERVAL))
 
 
-@dataclass
-class LearningSchedule(Exploration):
-    """Step sizes with a divergent sum and a summable square, and the exploration decay."""
-
-    alpha0: float = 0.5
-    alpha_tau: float = 1e4
-
-    def alpha(self, k: int) -> float:
-        return self.alpha0 * self.alpha_tau / (self.alpha_tau + k)
+def step_size(k: int) -> float:
+    """Step sizes with a divergent sum and a summable square: 0.5 at slot
+    0, halved by slot 10,000."""
+    return 0.5 * 1e4 / (1e4 + k)
 
 
 @dataclass
@@ -46,11 +40,6 @@ class QTable:
     q: np.ndarray  # (states, actions)
     feasible: np.ndarray  # (states, actions) bool
     reference_state: int = 0
-    visit_counts: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.visit_counts is None:
-            self.visit_counts = np.zeros_like(self.q, dtype=np.int64)
 
     def best_value(self, s: int) -> float:
         return float(self.q[s][self.feasible[s]].min())
@@ -76,7 +65,6 @@ def q_update(
         - qtable.q[s, a]
     )
     qtable.q[s, a] += alpha * target
-    qtable.visit_counts[s, a] += 1
     return float(qtable.q[s, a])
 
 
@@ -99,16 +87,15 @@ def train_tabular(
     config: SystemConfig,
     total_slots: int,
     seed: int,
-    schedule: Optional[LearningSchedule] = None,
+    eps0: float = DEFAULT_EPS0,
     kernel: Optional[TransitionKernel] = None,
 ) -> tuple[QTable, np.ndarray]:
-    """Run one trajectory of relative Q-learning.
+    """Run one trajectory of relative Q-learning, exploring with
+    probability ``epsilon(eps0, k)`` in slot ``k``.
 
     Returns the Q-table and the per-slot gain-estimate trace (best feasible
     Q-value at the reference state).
     """
-    if schedule is None:
-        schedule = LearningSchedule()
     if kernel is None:
         kernel = build_kernel(config, enumerate_states(config, "age"))
     rng = np.random.default_rng(seed)
@@ -132,7 +119,6 @@ def train_tabular(
     best_q = masked.min(axis=1)
     best_a = masked.argmin(axis=1)
     q = _flat_view(qt.q, "d")
-    visits = _flat_view(qt.visit_counts, "q")
     feasible = _flat_view(np.ascontiguousarray(qt.feasible), "?")
     succ = _flat_view(np.ascontiguousarray(kernel.succ_full, dtype=np.int64), "q")
     cost = _flat_view(np.ascontiguousarray(kernel.cost, dtype=float), "d")
@@ -154,16 +140,15 @@ def train_tabular(
         if k == pin_slot:
             ref = qt.reference_state = int(state_visits.argmax())
         row = s * n_actions
-        epsilon = schedule.epsilon(k)
-        if epsilon > 0 and random() < epsilon:
+        eps = epsilon(eps0, k)
+        if eps > 0 and random() < eps:
             feas = [b for b in actions if feasible[row + b]]
             a = feas[integers(len(feas))]
         else:
             a = best_a_view[s]
         sa = row + a
         s_next = succ[sa] + offsets[integers(n_combos)]
-        q[sa] += schedule.alpha(k) * (cost[s] + best_q_view[s_next] - best_q_view[ref] - q[sa])
-        visits[sa] += 1
+        q[sa] += step_size(k) * (cost[s] + best_q_view[s_next] - best_q_view[ref] - q[sa])
         best, best_action = np.inf, -1
         for b in actions:
             if feasible[row + b] and (best_action < 0 or q[row + b] < best):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from aoi_rl.cli import _write_trace_csv, main
 from aoi_rl.dqn import DqnHyperparams, train_dqn
 from aoi_rl.env import load_config, with_battery_capacity
 from aoi_rl.mdp import build_kernel, enumerate_states, load_policy_csv, solve_rvia
-from aoi_rl.tabular import LearningSchedule, train_tabular
+from aoi_rl.tabular import train_tabular
 
 
 @pytest.fixture
@@ -118,6 +119,39 @@ def test_train_tabular_trace_deterministic(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "policy.csv").exists()
+
+
+def test_train_epsilon_zero_explores_in_no_slot(tmp_path, config_path, monkeypatch, capsys):
+    """``--epsilon 0`` turns exploration off in every slot: the DQN trace's
+    epsilon column reads 0, and tabular training tosses no exploration coin.
+    Without ``--epsilon`` both learners start from 0.3, as ``--epsilon 0.3`` does."""
+    default_rng = np.random.default_rng
+    coins = []
+
+    def counting_rng(seed):
+        rng = default_rng(seed)
+        return SimpleNamespace(random=lambda: coins.append(1) or rng.random(), integers=rng.integers)
+
+    args = ["train", "--config", str(config_path), "--slots", "50", "--seed", "1"]
+    runs = {"default": [], "0.3": ["--epsilon", "0.3"], "0": ["--epsilon", "0"]}
+    tossed = {}
+    for agent in ("tabular", "dqn"):
+        for label, flag in runs.items():
+            coins.clear()
+            with monkeypatch.context() as patch:
+                if agent == "tabular":
+                    patch.setattr(np.random, "default_rng", counting_rng)
+                out = tmp_path / agent / label
+                assert main([*args, "--agent", agent, *flag, "--out", str(out)]) == 0
+            tossed[agent, label] = len(coins)
+        for name in ("trace.csv", "policy.csv"):
+            default, explicit = (tmp_path / agent / label / name for label in ("default", "0.3"))
+            assert default.read_bytes() == explicit.read_bytes()
+    assert [tossed["tabular", label] for label in runs] == [50, 50, 0]
+    for label, expected in [("default", "0.3"), ("0", "0.0")]:
+        with open(tmp_path / "dqn" / label / "trace.csv", newline="") as fh:
+            assert [row["epsilon"] for row in csv.DictReader(fh)] == [expected] * 50
+    capsys.readouterr()
 
 
 def test_train_dqn_checkpoint_verifies_as_advisory(tmp_path, config_path, capsys):
@@ -310,7 +344,7 @@ def test_train_traces_match_csv_writer(tmp_path, config_path, capsys):
         args = ["train", "--config", str(config_path), "--agent", agent, "--slots", "700"]
         assert main(args + ["--seed", "5", "--epsilon", "0.2", "--out", str(out)]) == 0
         if agent == "tabular":
-            _, trace = train_tabular(config, 700, 5, schedule=LearningSchedule(eps0=0.2))
+            _, trace = train_tabular(config, 700, 5, eps0=0.2)
             expected = _csv_writer_bytes(["slot", "gain_estimate"], trace)
         else:
             result = train_dqn(config, DqnHyperparams(total_slots=700, seed=5, eps0=0.2))
@@ -355,6 +389,10 @@ def test_train_manifest_records_phase_time_and_slot_rate(tmp_path, config_path, 
         (["sweep", "--vary", "packet_bits", "--values", "12", "--eval-slots", "0"], "--eval-slots"),
         (["sweep", "--vary", "packet_bits", "--values", "12", "--slots", "0"], "--slots"),
         (["simulate", "--policy", "policy.csv", "--slots", "0"], "--slots"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--agent", "tabular",
+          "--objective", "throughput"], "--objective"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--agent", "dqn",
+          "--objective", "throughput"], "--objective"),
     ],
 )
 def test_cli_refuses_unusable_counts_and_tolerances(tmp_path, config_path, capsys, argv, flag):

@@ -5,13 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_rl import dqn, mdp
+from aoi_rl import dqn, mdp, tabular
 from aoi_rl.dqn import (
     DqnHyperparams,
     QNetwork,
     ReplayMemory,
     batch_targets,
-    encode_state,
     gradient_step,
     greedy_policy_fn,
     loss_and_grads,
@@ -35,6 +34,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # --- encoding -------------------------------------------------------------
+
+
+def encode_state(config, state):
+    """The network input of a state, as the training loop and the greedy
+    policy compute it."""
+    return np.asarray(state, dtype=float) / dqn._encoding_denominators(config)
 
 
 def test_encode_extremes(small_config):
@@ -337,12 +342,13 @@ def test_gradient_step_raises_on_each_non_finite_gradient(monkeypatch, planted):
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
 )
-def test_training_loop_runs_the_gradient_guard():
+def test_training_loop_runs_the_gradient_guard(monkeypatch):
     """A step size that blows the weights up stops training at the
     gradient guard (the divergence check is switched off)."""
-    hyper = DqnHyperparams(total_slots=200, seed=0, learning_rate=1e200, divergence_limit=np.inf)
+    monkeypatch.setattr(dqn, "_LEARNING_RATE", 1e200)
+    monkeypatch.setattr(dqn, "_DIVERGENCE_LIMIT", np.inf)
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        train_dqn(load_config(CONFIGS / "learning_small.yaml"), hyper)
+        train_dqn(load_config(CONFIGS / "learning_small.yaml"), DqnHyperparams(total_slots=200))
 
 
 # --- training loop --------------------------------------------------------
@@ -427,16 +433,16 @@ class _ReferenceEnv:
 
 
 def _reference_train_dqn(config, hyper):
-    """The training loop as it reads on the public per-call functions: a
-    snapshot copy at every refresh, ``batch_targets`` and ``forward`` with
-    their checks, and fresh encodings of every state."""
+    """The training loop as it reads on the public per-call functions:
+    targets from a copy of the network taken at the start of every slot,
+    ``batch_targets`` and ``forward`` with their checks, and fresh
+    encodings of every state."""
     rng = np.random.default_rng(hyper.seed)
     env = _ReferenceEnv(config, rng)
     num_actions = config.num_sources + 1
-    sizes = [4 * config.num_sources, *hyper.hidden_sizes, num_actions]
+    sizes = [4 * config.num_sources, *dqn._HIDDEN_SIZES, num_actions]
     net = QNetwork.create(sizes, rng)
-    snapshot = net.copy()
-    memory = ReplayMemory(hyper.replay_capacity, sizes[0], num_actions)
+    memory = ReplayMemory(dqn._REPLAY_CAPACITY, sizes[0], num_actions)
     enc_ref = np.zeros(sizes[0])
     ref_mask = np.zeros(num_actions, dtype=bool)
     ref_mask[0] = True
@@ -446,9 +452,8 @@ def _reference_train_dqn(config, hyper):
     eps_trace = np.empty(hyper.total_slots)
     loss_trace = np.full(hyper.total_slots, np.nan)
     for k in range(hyper.total_slots):
-        if k % hyper.target_refresh == 0:
-            snapshot = net.copy()
-        eps = hyper.epsilon(k)
+        snapshot = net.copy()
+        eps = tabular.epsilon(hyper.eps0, k)
         enc_s = env.encode()
         mask = env.feasible_mask()
         if rng.random() < eps:
@@ -460,8 +465,8 @@ def _reference_train_dqn(config, hyper):
         cost = env.cost()
         env.step(action)
         memory.push(enc_s, action, cost, env.encode(), env.feasible_mask())
-        if memory.size >= hyper.batch_size:
-            idx = memory.sample(hyper.batch_size, rng)
+        if memory.size >= dqn._BATCH_SIZE:
+            idx = memory.sample(dqn._BATCH_SIZE, rng)
             targets = batch_targets(
                 snapshot,
                 memory.costs[idx],
@@ -471,7 +476,7 @@ def _reference_train_dqn(config, hyper):
                 ref_mask,
             )
             loss_trace[k] = gradient_step(
-                net, memory.enc_s[idx], memory.actions[idx], targets, hyper.learning_rate
+                net, memory.enc_s[idx], memory.actions[idx], targets, dqn._LEARNING_RATE
             )
         q_ref = net.forward(enc_ref)
         gain_trace[k] = q_ref[ref_mask].min()
@@ -479,46 +484,41 @@ def _reference_train_dqn(config, hyper):
     return net, gain_trace, eps_trace, loss_trace
 
 
+# the replay ring wraps, epsilon decays three times, one narrow hidden layer
+_RING = {
+    (dqn, "_REPLAY_CAPACITY"): 100,
+    (tabular, "_EPS_INTERVAL"): 200,
+    (dqn, "_HIDDEN_SIZES"): (16,),
+}
+
+
 @pytest.mark.parametrize(
-    "config, hyper",
+    "config, hyper, patches",
     [
-        (make_config(), DqnHyperparams(total_slots=800, seed=0)),
-        (make_config(), DqnHyperparams(total_slots=800, seed=13)),
+        (make_config(), DqnHyperparams(total_slots=800, seed=0), {}),
+        (make_config(), DqnHyperparams(total_slots=800, seed=13), {}),
         (
             make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2),
             DqnHyperparams(total_slots=800, seed=2),
+            {},
         ),
         (
             # weights 1/3 and AoIs up to 10: a left-to-right sum of the weighted
             # AoIs differs from the reference's dot product in the last bit
             make_config(distances=(25.0, 40.0, 20.0), battery_quanta=2, aoi_cap=10, levels=3),
             DqnHyperparams(total_slots=800, seed=3),
+            {},
         ),
-        (make_config(correlated_links=True), DqnHyperparams(total_slots=800, seed=4)),
-        (make_config(), DqnHyperparams(total_slots=600, seed=6, eps0=0.0, eps_min=0.0)),
-        (make_config(), DqnHyperparams(total_slots=800, seed=8, target_refresh=3)),
-        (
-            make_config(levels=2),
-            DqnHyperparams(
-                total_slots=700, seed=10, target_refresh=50, replay_capacity=100, batch_size=8,
-                hidden_sizes=(16,), eps_interval=200,
-            ),
-        ),
-        # batch sizes where one stacked product of the s and s' rows would
-        # round some outputs differently from two B-row products
-        (make_config(), DqnHyperparams(total_slots=400, seed=20, batch_size=1)),
-        (make_config(), DqnHyperparams(total_slots=400, seed=21, batch_size=7)),
-        (
-            make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2),
-            DqnHyperparams(total_slots=400, seed=22, batch_size=7),
-        ),
-        (make_config(), DqnHyperparams(total_slots=400, seed=24, batch_size=5, hidden_sizes=(100,))),
+        (make_config(correlated_links=True), DqnHyperparams(total_slots=800, seed=4), {}),
+        (make_config(), DqnHyperparams(total_slots=600, seed=6, eps0=0.0), {}),
+        (make_config(levels=2), DqnHyperparams(total_slots=700, seed=10), _RING),
     ],
     ids=["small-0", "small-13", "two-source", "three-source", "correlated", "no-exploration",
-         "refresh-3", "refresh-50-ring", "batch-1", "batch-7", "two-source-batch-7",
-         "batch-5-hidden-100"],
+         "refresh-50-ring"],
 )
-def test_training_matches_per_call_reference(config, hyper):
+def test_training_matches_per_call_reference(monkeypatch, config, hyper, patches):
+    for (module, name), value in patches.items():
+        monkeypatch.setattr(module, name, value)
     result = train_dqn(config, hyper)
     net, gain_trace, eps_trace, loss_trace = _reference_train_dqn(config, hyper)
     for ours, theirs in zip(result.network.weights + result.network.biases, net.weights + net.biases):
@@ -526,14 +526,16 @@ def test_training_matches_per_call_reference(config, hyper):
     assert np.array_equal(result.gain_trace, gain_trace)
     assert np.array_equal(result.epsilon_trace, eps_trace)
     assert np.array_equal(result.loss_trace, loss_trace, equal_nan=True)
-    assert np.isfinite(loss_trace[hyper.batch_size - 1:]).all()
+    assert np.isfinite(loss_trace[dqn._BATCH_SIZE - 1:]).all()
 
 
 def test_evicting_memos_change_nothing(monkeypatch, small_config):
     """Memos far smaller than the visited states evict and refill without
     changing a bit of training or of the greedy actions."""
     monkeypatch.setattr(dqn, "_MEMO_SIZE", 4)
-    test_training_matches_per_call_reference(make_config(), DqnHyperparams(total_slots=400, seed=25))
+    test_training_matches_per_call_reference(
+        monkeypatch, make_config(), DqnHyperparams(total_slots=400, seed=25), {}
+    )
     net = train_dqn(small_config, DqnHyperparams(total_slots=500, seed=26)).network
     policy = greedy_policy_fn(net, small_config)
     states = _all_states(small_config)
@@ -644,10 +646,3 @@ def test_dqn_learns_small_instance():
     result = train_dqn(cfg, DqnHyperparams(total_slots=30_000, seed=0))
     gain = evaluate_policy(kernel, tabulate_policy(result.network, kernel))
     assert gain == pytest.approx(vt.gain, rel=0.10)
-
-
-def test_hyperparameter_validation():
-    with pytest.raises(ValueError):
-        DqnHyperparams(target_refresh=0)
-    with pytest.raises(ValueError):
-        DqnHyperparams(batch_size=0)

@@ -520,18 +520,11 @@ def test_rvia_throughput_maximizes(small_config):
     assert vt.gain > evaluate_policy(kernel, harvest_only)
 
 
-def test_rvia_insensitive_to_initial_values(small_config):
-    kernel = build_kernel(small_config, enumerate_states(small_config))
-    vt0, _ = solve_rvia(kernel)
-    rng = np.random.default_rng(3)
-    vt1, _ = solve_rvia(kernel, initial_values=rng.normal(size=kernel.total_states))
-    assert vt0.gain == pytest.approx(vt1.gain, abs=1e-8)
-
-
-def test_rvia_non_convergence_error(small_config):
+def test_rvia_non_convergence_error(small_config, monkeypatch):
+    monkeypatch.setattr(mdp, "_MAX_SWEEPS", 2)
     kernel = build_kernel(small_config, enumerate_states(small_config))
     with pytest.raises(ConvergenceError, match="span"):
-        solve_rvia(kernel, max_sweeps=2)
+        solve_rvia(kernel)
 
 
 def test_oracle_size_limits(small_config):
@@ -834,6 +827,14 @@ def test_policy_csv_load_reads_lf_files_and_rejects_gaps(tmp_path, small_config,
     lf.write_text("\n".join(lines[:2] + [lines[2] + ",extra"]) + "\n")
     with pytest.raises(ValueError):
         load_policy_csv(lf, kernel.indexer)
+    # a state off the grid, as in a policy file of another config
+    off_grid = lines[1].split(",")
+    off_grid[1] = str(kernel.indexer.dims[1] + 1)  # an AoI above the cap
+    lf.write_text("\n".join([*lines[:5], ",".join(off_grid), *lines[6:]]) + "\n")
+    with pytest.raises(ContractError, match="off the grid") as refused:
+        load_policy_csv(lf, kernel.indexer)
+    assert f"A_1={off_grid[1]}," in str(refused.value)
+    assert str(kernel.indexer.dims) in str(refused.value)
     for bad_policy in (pt.actions[:-1], np.where(pt.actions == 0, 2, pt.actions), pt.actions - 1):
         with pytest.raises(ContractError):
             export_policy_csv(path, kernel.indexer, bad_policy)

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from aoi_rl import tabular
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
 from aoi_rl.tabular import (
-    LearningSchedule,
     QTable,
+    epsilon,
     epsilon_greedy,
     q_update,
+    step_size,
     train_tabular,
 )
 
 from conftest import make_config
+
+EPS0 = tabular.DEFAULT_EPS0
 
 
 def _toy_qtable():
@@ -40,7 +44,6 @@ def test_q_update_hand_arithmetic():
     #        = 2.0 + 0.5      - 1.0        - 4.0 = -2.5
     new = q_update(qt, s=0, a=1, cost=2.0, s_next=1, alpha=0.1)
     assert new == pytest.approx(4.0 + 0.1 * (-2.5))
-    assert qt.visit_counts[0, 1] == 1
 
 
 def test_epsilon_greedy_extremes():
@@ -52,19 +55,20 @@ def test_epsilon_greedy_extremes():
 
 
 def test_schedule_step_sizes():
-    sched = LearningSchedule()
-    assert sched.alpha(0) == pytest.approx(0.5)
-    assert sched.alpha(10_000) == pytest.approx(0.25)
+    assert step_size(0) == pytest.approx(0.5)
+    assert step_size(10_000) == pytest.approx(0.25)
     # divergent sum, square-summable tail behaviour (1/k decay)
-    assert sched.alpha(10**6) == pytest.approx(0.5 * 1e4 / (1e4 + 1e6))
+    assert step_size(10**6) == pytest.approx(0.5 * 1e4 / (1e4 + 1e6))
 
 
 def test_schedule_epsilon_staircase():
-    sched = LearningSchedule()
-    assert sched.epsilon(0) == pytest.approx(0.3)
-    assert sched.epsilon(9_999) == pytest.approx(0.3)
-    assert sched.epsilon(10_000) == pytest.approx(0.27)
-    assert sched.epsilon(10**7) == pytest.approx(sched.eps_min)
+    assert epsilon(EPS0, 0) == pytest.approx(0.3)
+    assert epsilon(EPS0, 9_999) == pytest.approx(0.3)
+    assert epsilon(EPS0, 10_000) == pytest.approx(0.27)
+    assert epsilon(EPS0, 10**7) == pytest.approx(tabular._EPS_MIN)
+    # the floor holds only below a start above it
+    assert [epsilon(0.0, k) for k in (0, 10_000, 10**7)] == [0.0, 0.0, 0.0]
+    assert [epsilon(0.005, k) for k in (0, 10**7)] == [0.005, 0.005]
 
 
 def test_training_is_deterministic_per_seed(small_config):
@@ -102,11 +106,9 @@ def test_trace_length_and_finiteness(small_config):
     assert np.isfinite(trace).all()
 
 
-def _reference_train_tabular(config, total_slots, seed, schedule=None):
+def _reference_train_tabular(config, total_slots, seed, eps0):
     """The slot loop as it reads on the public per-call functions:
     ``epsilon_greedy`` then ``q_update``, one numpy call at a time."""
-    if schedule is None:
-        schedule = LearningSchedule()
     kernel = build_kernel(config, enumerate_states(config, "age"))
     rng = np.random.default_rng(seed)
     qt = QTable(
@@ -125,32 +127,30 @@ def _reference_train_tabular(config, total_slots, seed, schedule=None):
         state_visits[s] += 1
         if k == pin_slot:
             qt.reference_state = int(state_visits.argmax())
-        a = epsilon_greedy(qt, s, schedule.epsilon(k), rng)
+        a = epsilon_greedy(qt, s, epsilon(eps0, k), rng)
         s_next = int(succ[s, a] + offsets[rng.integers(n_combos)])
-        q_update(qt, s, a, float(kernel.cost[s]), s_next, schedule.alpha(k))
+        q_update(qt, s, a, float(kernel.cost[s]), s_next, step_size(k))
         trace[k] = qt.best_value(qt.reference_state)
         s = s_next
     return qt, trace
 
 
 @pytest.mark.parametrize(
-    "config, seed, schedule, slots",
+    "config, seed, eps0, slots",
     [
-        (make_config(), 0, None, 6000),
-        (make_config(), 7, None, 6000),
-        (make_config(battery_quanta=2, aoi_cap=3, levels=2), 1, None, 4000),
-        (make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2), 3, None, 6000),
-        (make_config(correlated_links=True), 5, None, 5000),
-        (make_config(), 2, LearningSchedule(eps0=0.0), 4000),
-        (make_config(rounding_mode="upper-bound", levels=3, levels_uplink=2), 9, None, 300),
+        (make_config(), 0, EPS0, 6000),
+        (make_config(), 7, EPS0, 6000),
+        (make_config(battery_quanta=2, aoi_cap=3, levels=2), 1, EPS0, 4000),
+        (make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2), 3, EPS0, 6000),
+        (make_config(correlated_links=True), 5, EPS0, 5000),
+        (make_config(), 2, 0.0, 4000),
+        (make_config(rounding_mode="upper-bound", levels=3, levels_uplink=2), 9, EPS0, 300),
     ],
     ids=["small-0", "small-7", "tiny", "two-source", "correlated", "no-exploration", "short"],
 )
-def test_training_matches_per_call_reference(config, seed, schedule, slots):
-    qt, trace = train_tabular(config, slots, seed, schedule=schedule)
-    ref, ref_trace = _reference_train_tabular(config, slots, seed, schedule=schedule)
+def test_training_matches_per_call_reference(config, seed, eps0, slots):
+    qt, trace = train_tabular(config, slots, seed, eps0=eps0)
+    ref, ref_trace = _reference_train_tabular(config, slots, seed, eps0=eps0)
     assert np.array_equal(qt.q, ref.q)
-    assert np.array_equal(qt.visit_counts, ref.visit_counts)
     assert qt.reference_state == ref.reference_state
     assert np.array_equal(trace, ref_trace)
-    assert qt.visit_counts.sum() == slots
