@@ -29,6 +29,7 @@ from .mdp import (
     evaluate_policy,
     export_policy_csv,
     load_policy_csv,
+    policy_csv_objective,
     solve_rvia,
 )
 from .structure import (
@@ -44,6 +45,7 @@ def _write_manifest(
     out_dir: Path,
     config_path,
     args: argparse.Namespace,
+    *,
     skipped: dict[str, str] | None = None,
     solver=None,
     phases: dict[str, float] | None = None,
@@ -72,16 +74,16 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _solve_gain(config: SystemConfig, objective: str, epsilon: float):
+def _solve_gain(config: SystemConfig, objective: str):
     indexer = enumerate_states(config, objective)
     kernel = build_kernel(config, indexer)
-    vt, pt = solve_rvia(kernel, epsilon=epsilon)
+    vt, pt = solve_rvia(kernel)
     return indexer, kernel, vt, pt
 
 
 def cmd_solve(args) -> int:
     config = load_config(args.config)
-    indexer, _, vt, pt = _solve_gain(config, args.objective, args.epsilon)
+    indexer, _, vt, pt = _solve_gain(config, args.objective)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_policy_csv(out / "policy.csv", indexer, pt.actions, vt.values)
@@ -104,12 +106,22 @@ def _write_trace_csv(path: Path, header: list[str], *columns: np.ndarray) -> Non
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    if args.agent == "tabular":
+        try:
+            indexer = enumerate_states(config, "age")
+        except SizeLimitError as exc:
+            print(
+                f"aoi-rl train: error: argument --agent: the tabular agent needs an "
+                f"enumerable state space; {exc}",
+                file=sys.stderr,
+            )
+            return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     skipped = {}
     started = time.perf_counter()
     if args.agent == "tabular":
-        kernel = build_kernel(config, enumerate_states(config, "age"))
+        kernel = build_kernel(config, indexer)
         qt, trace = train_tabular(config, args.slots, args.seed, eps0=args.epsilon, kernel=kernel)
         train_s = time.perf_counter() - started
         _write_trace_csv(out / "trace.csv", ["slot", "gain_estimate"], trace)
@@ -137,7 +149,12 @@ def cmd_train(args) -> int:
             skipped["policy.csv"] = str(exc)
         final = result.gain_trace[-1]
     _write_manifest(
-        out, args.config, args, skipped, phases={"train": train_s}, slots_per_s=args.slots / train_s
+        out,
+        args.config,
+        args,
+        skipped=skipped,
+        phases={"train": train_s},
+        slots_per_s=args.slots / train_s,
     )
     print(f"final gain estimate: {final:.6g}")
     for name, reason in skipped.items():
@@ -147,18 +164,18 @@ def cmd_train(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    indexer = enumerate_states(config, args.objective)
     artifact = Path(args.artifact)
-    values = None
     if artifact.suffix == ".npz":
-        kernel = build_kernel(config, indexer)
-        policy = tabulate_policy(QNetwork.load(artifact), kernel)
-        learned = True
+        indexer = enumerate_states(config, "age")
+        policy = tabulate_policy(QNetwork.load(artifact), build_kernel(config, indexer))
+        values = None
     else:
+        indexer = enumerate_states(config, policy_csv_objective(artifact, config))
         policy, values = load_policy_csv(artifact, indexer)
-        learned = args.learned
+    # the exact solver writes values and the learners do not
+    learned = values is None
     violations = []
-    if args.objective == "age":
+    if indexer.objective == "age":
         if values is not None:
             violations += check_value_monotone_age(indexer, values)
         violations += check_threshold_aoi(indexer, policy)
@@ -182,19 +199,24 @@ def _sweep_point(config: SystemConfig, args, value: float) -> tuple[float, dict 
     else:
         cfg = with_packet_bits(config, value * 1e6)  # Mbits on the CLI
     if args.agent == "exact":
-        _, _, vt, _ = _solve_gain(cfg, args.objective, args.epsilon)
+        _, _, vt, _ = _solve_gain(cfg, args.objective)
         return vt.gain, vt.stats
+    slots = _SLOTS if args.slots is None else args.slots
     if args.agent == "tabular":
         kernel = build_kernel(cfg, enumerate_states(cfg, "age"))
-        qt, _ = train_tabular(cfg, args.slots, args.seed, kernel=kernel)
+        qt, _ = train_tabular(cfg, slots, args.seed, kernel=kernel)
         return evaluate_policy(kernel, qt.greedy_policy()), None
-    result = train_dqn(cfg, DqnHyperparams(total_slots=args.slots, seed=args.seed))
-    sim = simulate_policy(cfg, result.greedy_policy, args.eval_slots, args.seed)
+    result = train_dqn(cfg, DqnHyperparams(total_slots=slots, seed=args.seed))
+    eval_slots = _EVAL_SLOTS if args.eval_slots is None else args.eval_slots
+    sim = simulate_policy(cfg, result.greedy_policy, eval_slots, args.seed)
     return sim.avg_weighted_aoi, None
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
+    if args.agent != "exact":
+        # the manifest records the seed the learners use; an exact sweep has none
+        args.seed = _SEED if args.seed is None else args.seed
     gains, stats = zip(*(_sweep_point(config, args, v) for v in args.values))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,6 +273,12 @@ def _positive_floats(text: str) -> list[float]:
     return [_positive_float(v) for v in text.split(",")]
 
 
+# defaults of the learners' flags, shared by train, simulate and sweep
+_SLOTS = 100_000
+_SEED = 0
+_EVAL_SLOTS = 20_000
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoi-rl",
@@ -262,15 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="relative value iteration on the exact model")
     p.add_argument("--config", required=True)
     p.add_argument("--objective", choices=["age", "throughput"], default="age")
-    p.add_argument("--epsilon", type=_positive_float, default=1e-9, help="RVIA span tolerance")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("train", help="train a learning agent")
     p.add_argument("--config", required=True)
     p.add_argument("--agent", choices=["tabular", "dqn"], default="dqn")
-    p.add_argument("--slots", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slots", type=_positive_int, default=_SLOTS)
+    p.add_argument("--seed", type=int, default=_SEED)
     p.add_argument(
         "--epsilon", type=_probability, default=DEFAULT_EPS0, help="initial exploration rate"
     )
@@ -280,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check structural properties of a policy")
     p.add_argument("artifact", help="policy CSV or network checkpoint (.npz)")
     p.add_argument("--config", required=True)
-    p.add_argument("--objective", choices=["age", "throughput"], default="age")
-    p.add_argument("--learned", action="store_true", help="report violations as advisory")
     p.add_argument("--out", default=None, help="violations CSV path")
     p.set_defaults(func=cmd_verify)
 
@@ -293,18 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--agent", choices=["exact", "tabular", "dqn"], default="exact")
     p.add_argument("--objective", choices=["age", "throughput"], default="age")
-    p.add_argument("--epsilon", type=_positive_float, default=1e-9)
-    p.add_argument("--slots", type=_positive_int, default=100_000)
-    p.add_argument("--eval-slots", type=_positive_int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slots", type=_positive_int, help=f"tabular and dqn only; default {_SLOTS}")
+    p.add_argument("--eval-slots", type=_positive_int, help=f"dqn only; default {_EVAL_SLOTS}")
+    p.add_argument("--seed", type=int, help=f"tabular and dqn only; default {_SEED}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="roll out a stored policy")
     p.add_argument("--config", required=True)
     p.add_argument("--policy", required=True, help="policy CSV or checkpoint (.npz)")
-    p.add_argument("--slots", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slots", type=_positive_int, default=_SLOTS)
+    p.add_argument("--seed", type=int, default=_SEED)
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -312,8 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and args.agent != "exact" and args.objective != "age":
-        parser.error(f"argument --objective: the {args.agent} agent learns the age objective only")
+    if args.command == "sweep":
+        if args.agent != "exact" and args.objective != "age":
+            parser.error(
+                f"argument --objective: the {args.agent} agent learns the age objective only"
+            )
+        if args.agent == "exact" and args.slots is not None:
+            parser.error("argument --slots: the exact agent does not use it")
+        if args.agent == "exact" and args.seed is not None:
+            parser.error("argument --seed: the exact agent does not use it")
+        if args.agent != "dqn" and args.eval_slots is not None:
+            parser.error(f"argument --eval-slots: the {args.agent} agent does not use it")
     return args.func(args)
 
 

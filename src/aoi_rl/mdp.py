@@ -48,6 +48,8 @@ STATE_LIMIT = 20_000_000
 _DAMPING = 0.5
 # RVIA sweeps before it gives up with a ConvergenceError
 _MAX_SWEEPS = 200_000
+# RVIA stops once the update span drops below this, relative to max(1, |gain|)
+_TOLERANCE = 1e-9
 # largest kernel the exhaustive policy oracle takes
 _ORACLE_STATES, _ORACLE_ACTIONS = 12, 3
 
@@ -346,9 +348,9 @@ class PolicyTable:
     stats: Optional[dict] = None
 
 
-def solve_rvia(kernel: TransitionKernel, epsilon: float = 1e-9) -> tuple[ValueTable, PolicyTable]:
+def solve_rvia(kernel: TransitionKernel) -> tuple[ValueTable, PolicyTable]:
     """Relative value iteration until the Bellman-update span drops below
-    ``epsilon``. Gain is the midpoint of the final update differences,
+    ``_TOLERANCE``. Gain is the midpoint of the final update differences,
     which bracket the optimal average for any iterate.
 
     Each sweep contracts the channels once, onto the core states, and backs
@@ -363,7 +365,7 @@ def solve_rvia(kernel: TransitionKernel, epsilon: float = 1e-9) -> tuple[ValueTa
 
     Both returned tables carry ``stats``: the sweep count, the final
     ``[lo, hi]`` bracket, and the number of states whose best two feasible
-    actions lie within ``epsilon * max(1, |gain|)`` of each other.
+    actions lie within ``_TOLERANCE * max(1, |gain|)`` of each other.
     """
     n = kernel.total_states
     minimize = kernel.objective == "age"
@@ -391,9 +393,9 @@ def solve_rvia(kernel: TransitionKernel, epsilon: float = 1e-9) -> tuple[ValueTa
         # span tolerance is relative to the gain magnitude once it exceeds
         # unity (throughput rewards are in bits and far above fp resolution
         # at an absolute 1e-9)
-        if hi - lo < epsilon * max(1.0, 0.5 * abs(hi + lo)):
+        if hi - lo < _TOLERANCE * max(1.0, 0.5 * abs(hi + lo)):
             gain = float(0.5 * (hi + lo))
-            tolerance = epsilon * max(1.0, abs(gain))
+            tolerance = _TOLERANCE * max(1.0, abs(gain))
             # tv and diff are spent: _greedy reuses them as buffers
             actions, near_ties = _greedy(q, minimize, tolerance, tv_grid, diff.reshape(dims))
             stats = {"sweeps": sweep, "bracket": [float(lo), float(hi)], "near_ties": near_ties}
@@ -555,6 +557,19 @@ def markov_chain_gain(P, stage: np.ndarray, start: int) -> float:
     return float(gain)
 
 
+def _per_state(grid: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """Flat ``np.choose(grid, tables)``, filled into one buffer: the
+    harvest table first, then each action's table where the grid picks that
+    action. Two to six times faster than ``np.choose`` on solved and
+    learned policies, whose actions come in runs of states; slower on a
+    uniformly random grid."""
+    out = np.empty(grid.shape, dtype=np.result_type(*tables))
+    np.copyto(out, tables[0])
+    for a, table in enumerate(tables[1:], start=1):
+        np.copyto(out, table, where=grid == a)
+    return out.reshape(-1)
+
+
 def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     """Post-decision (core) chain of a deterministic policy.
 
@@ -577,7 +592,7 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     if not 0 <= policy.min() <= policy.max() < kernel.num_actions:
         raise ContractError(f"policy actions must lie in 0..{kernel.num_actions - 1}")
     grid = policy.reshape(kernel.indexer.dims)
-    succ = np.choose(grid, kernel.succ_tables).reshape(n)
+    succ = _per_state(grid, kernel.succ_tables)
     infeasible = np.flatnonzero(succ < 0)
     if len(infeasible):
         s = int(infeasible[0])
@@ -585,7 +600,7 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
             f"policy takes {action_name(int(policy[s]))} in state "
             f"{kernel.indexer.index_to_state(s)} where it is infeasible"
         )
-    value = np.choose(grid, kernel.stage_tables).reshape(n)
+    value = _per_state(grid, kernel.stage_tables)
     core = len(kernel.core_base)
     probs = kernel.chan_probs
     step = max(1, _CHAIN_CHUNK_CELLS // max(core, len(probs)))
@@ -765,6 +780,15 @@ def export_policy_csv(
     with open(path, "w", newline="") as fh:
         fh.write(",".join([*indexer.var_names, "action", "value"]) + "\r\n")
         fh.writelines(map("{},{},{}\r\n".format, states, actions, vals))
+
+
+def policy_csv_objective(path, config: SystemConfig) -> str:
+    """Objective of a policy file for ``config``: throughput for a
+    single-source file whose header has no AoI column, age otherwise.
+    ``load_policy_csv`` still checks the whole header."""
+    with open(path, newline="") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+    return "throughput" if config.num_sources == 1 and "A_1" not in header else "age"
 
 
 def load_policy_csv(path, indexer: StateIndexer):

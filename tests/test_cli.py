@@ -14,9 +14,11 @@ import pytest
 import yaml
 
 import aoi_rl
+from aoi_rl import cli
 from aoi_rl.cli import _write_trace_csv, main
 from aoi_rl.dqn import DqnHyperparams, train_dqn
 from aoi_rl.env import load_config, with_battery_capacity
+from aoi_rl.errors import ContractError
 from aoi_rl.mdp import build_kernel, enumerate_states, load_policy_csv, solve_rvia
 from aoi_rl.tabular import train_tabular
 
@@ -190,9 +192,9 @@ def test_train_dqn_checkpoint_verifies_as_advisory(tmp_path, config_path, capsys
     assert "(advisory)" in printed
 
 
-def test_train_dqn_records_skipped_policy_table(tmp_path, capsys):
-    # three sources of 10 x 10 x 10 x 10 states each: 10^12 states, far above
-    # the enumeration limit, so the greedy policy cannot be tabulated
+def _huge_config(tmp_path) -> Path:
+    """Three sources of 10 x 10 x 10 x 10 states each: 10^12 states, far
+    above the enumeration limit."""
     source = {
         "distance_m": 25.0,
         "battery_capacity_mj": 0.3,
@@ -214,7 +216,13 @@ def test_train_dqn_records_skipped_policy_table(tmp_path, capsys):
     }
     path = tmp_path / "huge.yaml"
     path.write_text(yaml.safe_dump(data))
+    return path
+
+
+def test_train_dqn_records_skipped_policy_table(tmp_path, capsys):
+    # the greedy policy of a config above the enumeration limit cannot be tabulated
     out = tmp_path / "dqn"
+    path = _huge_config(tmp_path)
     args = ["train", "--config", str(path), "--agent", "dqn", "--slots", "40", "--out", str(out)]
     assert main(args) == 0
     printed = capsys.readouterr().out
@@ -223,6 +231,18 @@ def test_train_dqn_records_skipped_policy_table(tmp_path, capsys):
     reason = json.loads((out / "manifest.json").read_text())["skipped"]["policy.csv"]
     assert "1000000000000 states" in reason
     assert f"skipped policy.csv: {reason}" in printed
+
+
+def test_train_tabular_refuses_state_space_above_limit(tmp_path, capsys):
+    """The tabular learner needs the enumerated kernel: above the limit it
+    exits 2 before the output directory is made."""
+    out = tmp_path / "tab"
+    path = _huge_config(tmp_path)
+    args = ["train", "--config", str(path), "--agent", "tabular", "--slots", "40", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "enumerable state space" in err and "1000000000000 states" in err
+    assert not out.exists()
 
 
 def test_sweep_single_value_matches_solve(tmp_path, config_path, capsys):
@@ -274,7 +294,10 @@ def test_solve_and_exact_sweep_record_solver_stats(tmp_path, config_path, capsys
     assert stats["sweeps"] > 0 and stats["near_ties"] >= 0
     lo, hi = stats["bracket"]
     assert lo <= printed_gain <= hi or printed_gain == pytest.approx(0.5 * (lo + hi), rel=1e-8)
-    assert "solver" not in json.loads((tmp_path / "tab" / "manifest.json").read_text())
+    tab = json.loads((tmp_path / "tab" / "manifest.json").read_text())
+    assert "solver" not in tab
+    # the seed is a learner's: exact sweeps record none, learned ones the default
+    assert swept["seed"] is None and tab["seed"] == 0
 
 
 def test_sweep_rejects_non_positive_values(tmp_path, config_path):
@@ -381,9 +404,9 @@ def test_train_manifest_records_phase_time_and_slot_rate(tmp_path, config_path, 
         (["train", "--epsilon", "1.5"], "--epsilon"),
         (["train", "--epsilon", "-0.1"], "--epsilon"),
         (["train", "--epsilon", "nan"], "--epsilon"),
-        (["solve", "--epsilon", "0"], "--epsilon"),
-        (["solve", "--epsilon", "inf"], "--epsilon"),
-        (["sweep", "--vary", "packet_bits", "--values", "12", "--epsilon", "-1"], "--epsilon"),
+        (["train", "--epsilon", "inf"], "--epsilon"),
+        (["train", "--epsilon", "x"], "--epsilon"),
+        (["train", "--epsilon", ""], "--epsilon"),
         (["sweep", "--vary", "packet_bits", "--values", "12,x"], "--values"),
         (["sweep", "--vary", "packet_bits", "--values", "12,0"], "--values"),
         (["sweep", "--vary", "packet_bits", "--values", "12", "--eval-slots", "0"], "--eval-slots"),
@@ -405,6 +428,104 @@ def test_cli_refuses_unusable_counts_and_tolerances(tmp_path, config_path, capsy
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--epsilon", "1e-6"],
+        ["solve", "--epsilon", "0"],
+        ["sweep", "--vary", "packet_bits", "--values", "12", "--epsilon", "1e-6"],
+        ["sweep", "--vary", "packet_bits", "--values", "12", "--agent", "tabular", "--epsilon", "0.1"],
+    ],
+)
+def test_cli_has_no_solver_tolerance_flag(tmp_path, config_path, capsys, argv):
+    """The RVIA tolerance is ``mdp._TOLERANCE``; ``--epsilon`` is only
+    ``train``'s exploration rate."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(config_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "agent, extra, flag",
+    [
+        ("exact", ["--slots", "500"], "--slots"),
+        ("exact", ["--seed", "1"], "--seed"),
+        ("exact", ["--eval-slots", "500"], "--eval-slots"),
+        ("tabular", ["--eval-slots", "500"], "--eval-slots"),
+    ],
+)
+def test_sweep_refuses_flags_its_agent_ignores(tmp_path, config_path, capsys, monkeypatch, agent, extra, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("sweep started work before refusing a flag")
+
+    for name in ("enumerate_states", "train_tabular", "train_dqn"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(config_path), "--vary", "packet_bits", "--values", "12"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--agent", agent, *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: the {agent} agent does not use it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_reads_throughput_objective_from_policy_file(tmp_path, config_path, capsys):
+    out = tmp_path / "thr"
+    main(["solve", "--config", str(config_path), "--objective", "throughput", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["verify", str(out / "policy.csv"), "--config", str(config_path)]) == 0
+    assert "0 violation(s) (binding)" in capsys.readouterr().out
+
+
+def test_verify_of_tabular_policy_is_advisory(tmp_path, config_path, capsys):
+    """A policy file without values is a learner's: its violations are
+    reported but never fail the exit status."""
+    out = tmp_path / "tab"
+    train = ["train", "--config", str(config_path), "--agent", "tabular", "--slots", "200"]
+    assert main([*train, "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert load_policy_csv(out / "policy.csv", enumerate_states(load_config(config_path)))[1] is None
+    assert main(["verify", str(out / "policy.csv"), "--config", str(config_path)]) == 0
+    printed = capsys.readouterr().out
+    assert "violation(s) (advisory)" in printed
+    assert not printed.startswith("0 violation(s)")
+
+
+def test_verify_of_policy_without_values_is_advisory(tmp_path, config_path, capsys):
+    """Only the value column marks a policy as exact: the same broken
+    policy fails with its values and is advisory with them stripped."""
+    out = tmp_path / "solved"
+    main(["solve", "--config", str(config_path), "--out", str(out)])
+    header, *rows = (out / "policy.csv").read_text().splitlines()
+    broken = [row.replace(",T1,", ",H,") if i % 2 else row for i, row in enumerate(rows)]
+    exact, stripped = tmp_path / "exact.csv", tmp_path / "stripped.csv"
+    exact.write_text("\n".join([header, *broken]) + "\n")
+    stripped.write_text("\n".join([header, *(r[: r.rindex(",") + 1] for r in broken)]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(exact), "--config", str(config_path)]) == 1
+    binding = capsys.readouterr().out
+    assert "(binding)" in binding and not binding.startswith("0 violation(s)")
+    assert main(["verify", str(stripped), "--config", str(config_path)]) == 0
+    advisory = capsys.readouterr().out
+    assert advisory.startswith(binding.split(" (")[0]) and "(advisory)" in advisory
+
+
+def test_verify_reports_mismatched_columns_on_multi_source_config(tmp_path, config_path):
+    """A multi-source file without AoI columns is checked as age, so the
+    column check names the mismatch."""
+    data = yaml.safe_load(config_path.read_text())
+    data["sources"] = [dict(data["sources"][0], weight=0.5)] * 2
+    two = tmp_path / "two.yaml"
+    two.write_text(yaml.safe_dump(data))
+    bad = tmp_path / "policy.csv"
+    bad.write_text("b_1,g_1,h_1,action,value\n0,1,1,H,\n")
+    with pytest.raises(ContractError, match="do not match indexer"):
+        main(["verify", str(bad), "--config", str(two)])
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):

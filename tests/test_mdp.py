@@ -666,7 +666,8 @@ def test_solver_matches_nA_sweep_bit_for_bit(case, epsilon, monkeypatch):
         return contract(self, values)
 
     monkeypatch.setattr(TransitionKernel, "contract_channels", counted)
-    vt, pt = solve_rvia(kernel, epsilon=epsilon)
+    monkeypatch.setattr(mdp, "_TOLERANCE", epsilon)
+    vt, pt = solve_rvia(kernel)
     # solving reads only the per-action tables
     assert not {"succ_small", "succ_full", "feasible", "cost", "reward_sa"} & kernel.__dict__.keys()
     assert vt.stats["sweeps"] == len(calls)
