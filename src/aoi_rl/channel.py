@@ -1,9 +1,11 @@
 """Discretization of Rayleigh-fading channel power gains.
 
 The small-scale power gain is unit-mean exponential. Its support is split
-into equal-probability intervals; each interval is represented by its
-conditional mean, scaled by the large-scale mean gain. This keeps the mean
-harvested energy of the discrete model equal to the continuous one.
+into L equal-probability intervals; each interval is represented by its
+conditional mean, scaled by the large-scale mean gain. Every level
+therefore has probability 1/L, and the plain mean of the representatives
+is the mean gain, which keeps the mean harvested energy of the discrete
+model equal to the continuous one.
 """
 
 from dataclasses import dataclass
@@ -18,9 +20,7 @@ class FadingQuantizer:
     """Equal-probability binning of a fading power-gain distribution."""
 
     num_levels: int
-    mean_gain: float
     representative_gains: np.ndarray  # ascending, one per level
-    level_pmf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,7 @@ def build_quantizer(mean_gain: float, num_levels: int) -> FadingQuantizer:
     # (x+1)e^-x at each edge; zero at the infinite upper edge.
     tail = np.append((edges + 1.0) * np.exp(-edges), 0.0)
     cond_means = L * (tail[:-1] - tail[1:])
-    reps = mean_gain * cond_means
-    pmf = np.full(L, 1.0 / L)
-    return FadingQuantizer(
-        num_levels=L,
-        mean_gain=mean_gain,
-        representative_gains=reps,
-        level_pmf=pmf,
-    )
+    return FadingQuantizer(num_levels=L, representative_gains=mean_gain * cond_means)
 
 
 def sample_level(quantizer: FadingQuantizer, rng: np.random.Generator) -> int:

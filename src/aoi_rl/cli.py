@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dqn import DqnHyperparams, QNetwork, greedy_policy_fn, tabulate_policy, train_dqn
 from .env import SystemConfig, load_config, simulate_policy, with_battery_capacity, with_packet_bits
-from .errors import SizeLimitError
+from .errors import ContractError, SizeLimitError
 from .mdp import (
     build_kernel,
     enumerate_states,
@@ -162,16 +162,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _refuse_artifact(args, artifact: Path, exc: Exception) -> int:
+    """Exit status 2 for a policy file or checkpoint that cannot be read
+    for ``--config``, with one line naming both."""
+    print(
+        f"aoi-rl {args.command}: error: cannot use {artifact} with {args.config}: {exc}",
+        file=sys.stderr,
+    )
+    return 2
+
+
+# what reading a policy file or checkpoint that does not fit the config raises
+_UNFIT_ARTIFACT = (OSError, ValueError, ContractError)
+
+
 def cmd_verify(args) -> int:
     config = load_config(args.config)
     artifact = Path(args.artifact)
-    if artifact.suffix == ".npz":
-        indexer = enumerate_states(config, "age")
-        policy = tabulate_policy(QNetwork.load(artifact), build_kernel(config, indexer))
-        values = None
-    else:
-        indexer = enumerate_states(config, policy_csv_objective(artifact, config))
-        policy, values = load_policy_csv(artifact, indexer)
+    try:
+        if artifact.suffix == ".npz":
+            indexer = enumerate_states(config, "age")
+            policy = tabulate_policy(QNetwork.load(artifact), build_kernel(config, indexer))
+            values = None
+        else:
+            indexer = enumerate_states(config, policy_csv_objective(artifact, config))
+            policy, values = load_policy_csv(artifact, indexer)
+    except _UNFIT_ARTIFACT as exc:
+        return _refuse_artifact(args, artifact, exc)
     # the exact solver writes values and the learners do not
     learned = values is None
     violations = []
@@ -234,15 +251,18 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     artifact = Path(args.policy)
-    if artifact.suffix == ".npz":
-        policy = greedy_policy_fn(QNetwork.load(artifact), config)
-    else:
-        indexer = enumerate_states(config, "age")
-        table, _ = load_policy_csv(artifact, indexer)
+    try:
+        if artifact.suffix == ".npz":
+            policy = greedy_policy_fn(QNetwork.load(artifact), config)
+        else:
+            indexer = enumerate_states(config, "age")
+            table, _ = load_policy_csv(artifact, indexer)
 
-        def policy(state):
-            return int(table[indexer.state_to_index(state)])
+            def policy(state):
+                return int(table[indexer.state_to_index(state)])
 
+    except _UNFIT_ARTIFACT as exc:
+        return _refuse_artifact(args, artifact, exc)
     sim = simulate_policy(config, policy, args.slots, args.seed)
     print(f"average weighted AoI: {sim.avg_weighted_aoi:.6g}")
     if sim.avg_throughput_bits is not None:

@@ -71,7 +71,10 @@ def _dbm_to_watts(dbm: float) -> float:
 
 @dataclass
 class SystemConfig:
-    """Full scenario description; immutable in practice once constructed."""
+    """Full scenario description; immutable in practice once constructed.
+
+    Building one warns when a source can never afford a transmission.
+    """
 
     sources: tuple[SourceSpec, ...]
     tx_power_dbm: float
@@ -88,7 +91,8 @@ class SystemConfig:
     downlink_quantizers: tuple[FadingQuantizer, ...] = field(init=False)
     uplink_quantizers: tuple[FadingQuantizer, ...] = field(init=False)
     # per source, quanta by 0-based level: harvested over downlink levels,
-    # needed to transmit over uplink levels
+    # needed to transmit over uplink levels; the stepper, the exact kernel
+    # and the structure checks all index these
     harvest_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     transmit_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -128,6 +132,13 @@ class SystemConfig:
             tuple(transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1))
             for i, s in enumerate(self.sources)
         )
+        for i, (spec, costs) in enumerate(zip(self.sources, self.transmit_table), start=1):
+            if min(costs) > spec.battery_quanta:
+                warnings.warn(
+                    f"source {i} can never transmit: minimum transmit cost {min(costs)} "
+                    f"quanta exceeds battery capacity {spec.battery_quanta}",
+                    stacklevel=3,
+                )
         self.weights = np.array([s.weight for s in self.sources])
 
     @property
@@ -170,28 +181,6 @@ def transmit_quanta(config: SystemConfig, source_index: int, h_level: int) -> in
         * snr_gap
     )
     return math.ceil(x) if config.rounding_mode == "lower-bound" else math.floor(x)
-
-
-def energy_tables(config: SystemConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-source quanta tables indexed by 0-based channel level.
-
-    Returns (harvest tables over downlink levels, transmit tables over
-    uplink levels), as arrays of the config's tables. Warns when a source
-    can never afford a transmission.
-    """
-    e_h, e_t = [], []
-    for i, spec in enumerate(config.sources):
-        eh = np.array(config.harvest_table[i], dtype=np.int64)
-        et = np.array(config.transmit_table[i], dtype=np.int64)
-        if np.all(et > spec.battery_quanta):
-            warnings.warn(
-                f"source {i + 1} can never transmit: minimum transmit cost "
-                f"{int(et.min())} quanta exceeds battery capacity {spec.battery_quanta}",
-                stacklevel=2,
-            )
-        e_h.append(eh)
-        e_t.append(et)
-    return e_h, e_t
 
 
 def feasible_actions(config: SystemConfig, state: State) -> list[int]:

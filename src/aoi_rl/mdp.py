@@ -6,12 +6,15 @@ exhaustive policy-enumeration oracle for tiny instances, and exact policy
 evaluation on the post-decision (core) chain, all on numpy alone.
 
 The kernel is kept in factored form: the battery/AoI successor of a
-(state, action) pair is deterministic, and the next channel levels are an
-independent product of per-link pmfs. Each action's successor depends on
-a few state axes only (harvest on the core and the downlink levels,
-transmit j on the core and h_j), so the kernel holds one successor table
-per action, full-size on those axes and size 1 on the rest; RVIA
-broadcasts them and never builds an (n, A) array. Rows of the full
+(state, action) pair is deterministic, and the next channel levels are
+uniform. Every downlink and uplink level is drawn independently, each of
+its levels equally likely (with reciprocal links a source's uplink level
+is its downlink level), so each of the m channel combinations has
+probability 1/m. Each action's successor depends on a few state axes only
+(harvest on the core and the downlink levels, transmit j on the core and
+h_j), so the kernel holds one successor table per action, full-size on
+those axes and size 1 on the rest; RVIA broadcasts them and never builds
+an (n, A) array. Rows of the full
 transition matrix are materialized on demand only, by the oracle.
 
 Because the channel levels of each slot are drawn independently of the
@@ -19,9 +22,9 @@ past, the channel-free (battery, AoI) "core" sequence under a stationary
 policy is itself a Markov chain. Policy evaluation therefore solves that
 chain, whose size is the core count (100 states on a single source with
 ten battery levels and AoI cap 10), instead of the full-state chain. The
-full chain's stationary law is the core law times the channel pmf, and
-the full chain started at the canonical start state enters the core chain
-at the start state's successor core.
+full chain's stationary law is the core law times the uniform law of the
+channel combinations, and the full chain started at the canonical start
+state enters the core chain at the start state's successor core.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import SystemConfig, action_name, energy_tables, parse_action
+from .env import SystemConfig, action_name, parse_action
 from .errors import (
     ContractError,
     ConvergenceError,
@@ -163,8 +166,6 @@ class TransitionKernel:
         fstr = _strides(dims)
         vps = indexer.vars_per_source
 
-        e_h, e_t = energy_tables(config)
-
         def axis(k):
             """Values of variable ``k``, full-size on its own axis only."""
             shape = [1] * len(dims)
@@ -176,38 +177,23 @@ class TransitionKernel:
         g = [axis(vps * i + vps - 2) for i in range(N)]
         h = [axis(vps * i + vps - 1) for i in range(N)]
 
-        # Channel groups: per source either two independent axes (g then h)
-        # or, with reciprocal links, one group whose support is the diagonal
-        # g = h. Each group is (axes, per-combo level rows, combo pmf).
-        chan_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
-        chan_axes: list[int] = []
-        for i in range(N):
-            off = vps * i + vps - 2
-            down = config.downlink_quantizers[i].level_pmf
-            up = config.uplink_quantizers[i].level_pmf
-            if config.correlated_links:
-                L = len(down)
-                diag = np.arange(L, dtype=np.int64)
-                chan_groups.append(((off, off + 1), np.stack([diag, diag]), down))
-            else:
-                chan_groups.append(((off,), np.arange(len(down), dtype=np.int64)[None, :], down))
-                chan_groups.append(((off + 1,), np.arange(len(up), dtype=np.int64)[None, :], up))
-            chan_axes.extend((off, off + 1))
-        self._chan_groups = chan_groups
+        # Full-index offset of each channel combination from the lowest
+        # levels, row-major over (g_1, h_1, g_2, h_2, ...): per source every
+        # (g, h) pair or, with reciprocal links, the diagonal g = h.
         offsets = np.zeros(1, dtype=np.int64)
-        probs = np.ones(1)
-        for axes, levels, pmf in chan_groups:
-            step_off = np.zeros(levels.shape[1], dtype=np.int64)
-            for k, ax in enumerate(axes):
-                step_off += levels[k] * fstr[ax]
-            offsets = (offsets[:, None] + step_off[None, :]).ravel()
-            probs = (probs[:, None] * pmf[None, :]).ravel()
+        for i in range(N):
+            g_ax = vps * i + vps - 2
+            g_off = np.arange(dims[g_ax], dtype=np.int64) * fstr[g_ax]
+            h_off = np.arange(dims[g_ax + 1], dtype=np.int64) * fstr[g_ax + 1]
+            pairs = g_off + h_off if config.correlated_links else (g_off[:, None] + h_off).ravel()
+            offsets = (offsets[:, None] + pairs).ravel()
         self.chan_offsets = offsets
-        self.chan_probs = probs
-
-        # core (non-channel) dims: RVIA contracts channels onto them and policy
-        # evaluation runs on the chain over them
-        core_axes = [k for k in range(len(dims)) if k not in set(chan_axes)]
+        self.chan_probs = np.full(len(offsets), 1.0 / len(offsets))
+        # (g_1, h_1, g_2, h_2, ...) and the core (non-channel) axes: RVIA
+        # contracts channels onto the core and policy evaluation runs on the
+        # chain over it
+        self._chan_axes = tuple(k for k in range(len(dims)) if k % vps >= vps - 2)
+        core_axes = [k for k in range(len(dims)) if k % vps < vps - 2]
         cdims = [dims[k] for k in core_axes]
         cstr = _strides(cdims)
         # full index of each core state at the lowest channel levels; adding
@@ -229,11 +215,11 @@ class TransitionKernel:
             return core
 
         aged = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)] if age else None
-        hb = [np.minimum(caps[i], b[i] + e_h[i][g[i]]) for i in range(N)]
+        hb = [np.minimum(caps[i], b[i] + np.take(config.harvest_table[i], g[i])) for i in range(N)]
         succ_tables = [encode(hb, aged)]
         transmit_ok = []
         for j in range(N):
-            cost_j = e_t[j][h[j]]
+            cost_j = np.take(config.transmit_table[j], h[j])
             feas = b[j] >= cost_j
             tb = list(b)
             tb[j] = b[j] - np.where(feas, cost_j, 0)
@@ -306,20 +292,17 @@ class TransitionKernel:
         return float(self.reward_sa[s, a])
 
     def contract_channels(self, values: np.ndarray) -> np.ndarray:
-        """Expected value over next channel levels, flat over the core dims.
-
-        Groups are contracted from the highest axis down so that removing a
-        group's axes leaves the positions of lower axes unchanged. Reciprocal
-        links contract the (g, h) pair over its diagonal support.
-        """
+        """Expected value over next channel levels, flat over the core dims:
+        the mean over the channel axes, every combination being equally
+        likely. Reciprocal links take each source's (g, h) diagonal first,
+        highest source first, so that lower axes keep their positions and
+        the diagonals end up as the last axes."""
         v = values.reshape(self.indexer.dims)
-        for axes, _, pmf in sorted(self._chan_groups, key=lambda t: -t[0][0]):
-            if len(axes) == 2:
-                v = np.diagonal(v, axis1=axes[0], axis2=axes[1])  # diag -> last axis
-                v = np.tensordot(v, pmf, axes=([v.ndim - 1], [0]))
-            else:
-                v = np.tensordot(v, pmf, axes=([axes[0]], [0]))
-        return v.ravel()
+        if not self.config.correlated_links:
+            return v.mean(axis=self._chan_axes).ravel()
+        for g_ax in self._chan_axes[-2::-2]:
+            v = np.diagonal(v, axis1=g_ax, axis2=g_ax + 1)
+        return v.mean(axis=tuple(range(v.ndim - self.config.num_sources, v.ndim))).ravel()
 
     def row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Sparse successor distribution of one (state, action) pair."""
@@ -579,11 +562,12 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     Markov: ``P[c, c']`` sums the channel probabilities of the combinations
     under which the policy moves core ``c`` to ``c'``, and ``stage[c]`` is
     the channel-averaged stage value of the policy's action. The full
-    chain's stationary law is the core one times the channel pmf. ``start``
-    is the core the canonical start state moves to under the policy. Rows
-    are summed a chunk of cores at a time into a dense (chunk, cores)
-    buffer of about ``_CHAIN_CHUNK_CELLS`` cells; channel probabilities are
-    positive, so its nonzero cells are the pairs that occur.
+    chain's stationary law is the core one times the uniform law of the
+    channel combinations. ``start`` is the core the canonical start state
+    moves to under the policy. Rows are summed a chunk of cores at a time
+    into a dense (chunk, cores) buffer of about ``_CHAIN_CHUNK_CELLS``
+    cells; channel probabilities are positive, so its nonzero cells are the
+    pairs that occur.
     """
     policy = np.asarray(policy, dtype=np.int64)
     n = kernel.total_states
@@ -797,8 +781,8 @@ def load_policy_csv(path, indexer: StateIndexer):
     Parses a chunk of rows at a time, column by column. Fields are plain
     comma-separated text, as the writer leaves them; a row without exactly
     the state, action and value fields raises ``ValueError``, and a state
-    off the grid, or a file without exactly one row per state, raises
-    ``ContractError``.
+    off the grid, an action outside H, T1..TN, or a file without exactly
+    one row per state, raises ``ContractError``.
     """
     nv = len(indexer.var_names)
     width = nv + 2
@@ -832,6 +816,8 @@ def load_policy_csv(path, indexer: StateIndexer):
             names = fields[nv::width]
             for name in set(names) - action_of.keys():
                 action_of[name] = parse_action(name)
+                if not 0 <= action_of[name] <= indexer.num_sources:
+                    raise ContractError(f"policy action {name} lies outside H, T1..T{indexer.num_sources}")
             policy[s] = list(map(action_of.__getitem__, names))
             column = fields[nv + 1 :: width]
             if any(column):  # an empty field reads as NaN

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import SystemConfig, action_name, energy_tables
+from .env import SystemConfig, action_name
 from .errors import ContractError
 from .mdp import StateIndexer, _display_offsets
 
@@ -89,7 +89,6 @@ def check_threshold_aoi(indexer: StateIndexer, policy: np.ndarray) -> list[Viola
 def _threshold_set(indexer: StateIndexer, config: SystemConfig) -> np.ndarray:
     """States with battery >= max(b_max - harvest gain, transmit cost),
     i.e. where one harvesting slot tops the battery off."""
-    e_h, e_t = energy_tables(config)
     bmax = config.sources[0].battery_quanta
     b_ax = indexer.var_names.index("b_1")
     g_ax = indexer.var_names.index("g_1")
@@ -99,10 +98,12 @@ def _threshold_set(indexer: StateIndexer, config: SystemConfig) -> np.ndarray:
     def along(arr, axis):
         s = shape.copy()
         s[axis] = len(arr)
-        return arr.reshape(s)
+        return np.reshape(arr, s)
 
     b = along(np.arange(indexer.dims[b_ax]), b_ax)
-    need = np.maximum(bmax - along(e_h[0], g_ax), along(e_t[0], h_ax))
+    need = np.maximum(
+        bmax - along(config.harvest_table[0], g_ax), along(config.transmit_table[0], h_ax)
+    )
     return np.broadcast_to(b >= need, indexer.dims)
 
 

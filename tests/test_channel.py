@@ -44,20 +44,13 @@ def test_representatives_match_quadrature(levels):
 @pytest.mark.parametrize("levels", [1, 2, 5, 10, 32])
 def test_mean_gain_preserved(levels):
     q = build_quantizer(3.2e-4, levels)
-    assert float(q.level_pmf @ q.representative_gains) == pytest.approx(
-        3.2e-4, rel=1e-12
-    )
+    # the levels are equally likely, so the mean gain is the plain mean
+    assert float(q.representative_gains.mean()) == pytest.approx(3.2e-4, rel=1e-12)
 
 
 def test_representatives_strictly_ascending():
     q = build_quantizer(1.0, 12)
     assert np.all(np.diff(q.representative_gains) > 0)
-
-
-def test_pmf_uniform():
-    q = build_quantizer(1.0, 8)
-    assert q.level_pmf == pytest.approx(np.full(8, 0.125))
-    assert float(q.level_pmf.sum()) == pytest.approx(1.0)
 
 
 def test_single_level_is_the_mean():
@@ -75,7 +68,7 @@ def test_quantizer_properties(levels, mean):
     assert len(q.representative_gains) == levels
     assert np.all(q.representative_gains > 0)
     assert np.all(np.diff(q.representative_gains) >= 0)
-    assert float(q.level_pmf @ q.representative_gains) == pytest.approx(mean, rel=1e-9)
+    assert float(q.representative_gains.mean()) == pytest.approx(mean, rel=1e-9)
 
 
 def test_invalid_quantizer_inputs():

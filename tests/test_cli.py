@@ -16,9 +16,8 @@ import yaml
 import aoi_rl
 from aoi_rl import cli
 from aoi_rl.cli import _write_trace_csv, main
-from aoi_rl.dqn import DqnHyperparams, train_dqn
+from aoi_rl.dqn import DqnHyperparams, QNetwork, train_dqn
 from aoi_rl.env import load_config, with_battery_capacity
-from aoi_rl.errors import ContractError
 from aoi_rl.mdp import build_kernel, enumerate_states, load_policy_csv, solve_rvia
 from aoi_rl.tabular import train_tabular
 
@@ -515,7 +514,7 @@ def test_verify_of_policy_without_values_is_advisory(tmp_path, config_path, caps
     assert advisory.startswith(binding.split(" (")[0]) and "(advisory)" in advisory
 
 
-def test_verify_reports_mismatched_columns_on_multi_source_config(tmp_path, config_path):
+def test_verify_reports_mismatched_columns_on_multi_source_config(tmp_path, config_path, capsys):
     """A multi-source file without AoI columns is checked as age, so the
     column check names the mismatch."""
     data = yaml.safe_load(config_path.read_text())
@@ -524,8 +523,63 @@ def test_verify_reports_mismatched_columns_on_multi_source_config(tmp_path, conf
     two.write_text(yaml.safe_dump(data))
     bad = tmp_path / "policy.csv"
     bad.write_text("b_1,g_1,h_1,action,value\n0,1,1,H,\n")
-    with pytest.raises(ContractError, match="do not match indexer"):
-        main(["verify", str(bad), "--config", str(two)])
+    assert main(["verify", str(bad), "--config", str(two)]) == 2
+    assert "do not match indexer" in capsys.readouterr().err
+
+
+def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
+    """A policy file or checkpoint that does not fit ``config_path``, and a
+    fragment of the reason the CLI gives."""
+    solved = tmp_path / "solved"
+    main(["solve", "--config", str(config_path), "--out", str(solved)])
+    header, *rows = (solved / "policy.csv").read_text().splitlines()
+    path = tmp_path / ("checkpoint.npz" if kind == "width" else "policy.csv")
+    if kind == "header":
+        path.write_text("\n".join([header.replace("b_1", "x_1"), *rows]) + "\n")
+        return path, "do not match indexer"
+    if kind == "off-grid":
+        rows[0] = "99" + rows[0][rows[0].index(",") :]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path, "lies off the grid"
+    if kind == "missing-rows":
+        path.write_text("\n".join([header, *rows[:-1]]) + "\n")
+        return path, "do not cover the 36 states"
+    if kind == "action":
+        rows[0] = rows[0].replace(",H,", ",T2,").replace(",T1,", ",T2,")
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path, "policy action T2 lies outside H, T1..T1"
+    if kind == "width":
+        # a two-source network reads 8 inputs; one source encodes to 4
+        QNetwork.create([8, 16, 3], np.random.default_rng(0)).save(path)
+        return path, "8"
+    return tmp_path / "absent.csv", "No such file"
+
+
+@pytest.mark.parametrize("kind", ["header", "off-grid", "missing-rows", "action", "width", "missing-file"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_unfit_artifact_exits_2_before_any_work(tmp_path, config_path, capsys, monkeypatch, command, kind):
+    """A policy file or checkpoint that does not fit ``--config`` is one
+    error line naming both and exit status 2, so that ``verify``'s 1 means
+    binding violations only."""
+    path, reason = _unfit_artifact(kind, tmp_path, config_path)
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} started work on an unfit artifact")
+
+    for name in ("simulate_policy", "check_value_monotone_age", "check_threshold_aoi",
+                 "check_threshold_single_source", "export_violations_csv"):
+        monkeypatch.setattr(cli, name, never)
+    if command == "verify":
+        argv = ["verify", str(path), "--config", str(config_path), "--out", str(tmp_path / "v.csv")]
+    else:
+        argv = ["simulate", "--config", str(config_path), "--policy", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"aoi-rl {command}: error: cannot use {path} with {config_path}: ")
+    assert reason in line
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):

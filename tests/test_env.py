@@ -17,7 +17,6 @@ from aoi_rl.env import (
     action_name,
     config_from_dict,
     draw_levels,
-    energy_tables,
     feasible_actions,
     harvested_quanta,
     initial_state,
@@ -27,6 +26,7 @@ from aoi_rl.env import (
     stage_cost,
     step,
     transmit_quanta,
+    with_battery_capacity,
     with_packet_bits,
 )
 from aoi_rl.channel import sample_level
@@ -86,10 +86,39 @@ def test_harvest_increases_with_downlink_level():
     assert all(a <= b for a, b in zip(gains, gains[1:]))
 
 
-def test_energy_tables_warn_when_transmission_impossible():
-    cfg = make_config(distances=(300.0,), levels=1, battery_quanta=2)
-    with pytest.warns(UserWarning, match="can never transmit"):
-        energy_tables(cfg)
+def _cannot_transmit(builder, tmp_path):
+    """A source 300 m out whose one uplink level costs 4 quanta of 0.15 mJ,
+    with a 2-quantum battery, built the ``builder`` way."""
+    if builder == "make_config":
+        return make_config(distances=(300.0,), levels=1, battery_quanta=2)
+    if builder == "load_config":
+        data = _config_dict()
+        data["sources"][0].update(
+            distance_m=300.0, battery_quanta=2, levels_downlink=1, levels_uplink=1
+        )
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return load_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a 4-quantum battery can pay for it
+        roomy = make_config(distances=(300.0,), levels=1, battery_quanta=4, battery_mj=0.6)
+    return with_battery_capacity(roomy, 0.3e-3)
+
+
+@pytest.mark.parametrize("builder", ["make_config", "load_config", "with_battery_capacity"])
+def test_config_warns_when_transmission_impossible(builder, tmp_path):
+    """The config warns once, when it is built; building its kernel does not
+    warn again."""
+    with pytest.warns(UserWarning) as record:
+        cfg = _cannot_transmit(builder, tmp_path)
+    assert [str(w.message) for w in record] == [
+        "source 1 can never transmit: minimum transmit cost 4 quanta exceeds battery capacity 2"
+    ]
+    assert cfg.transmit_table == ((4,),) and cfg.sources[0].battery_quanta == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = build_kernel(cfg, enumerate_states(cfg))
+    assert not kernel.transmit_ok[0].any()
 
 
 # --- per-slot dynamics ----------------------------------------------------
@@ -299,11 +328,6 @@ def test_quanta_tables_match_radio_arithmetic():
             up = range(1, spec.link.levels_uplink + 1)
             assert cfg.harvest_table[i] == tuple(harvested_quanta(cfg, i, lv) for lv in down)
             assert cfg.transmit_table[i] == tuple(transmit_quanta(cfg, i, lv) for lv in up)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            e_h, e_t = energy_tables(cfg)
-        assert [t.tolist() for t in e_h] == [list(t) for t in cfg.harvest_table]
-        assert [t.tolist() for t in e_t] == [list(t) for t in cfg.transmit_table]
 
 
 def test_quanta_tables_follow_replaced_fields():
@@ -551,9 +575,8 @@ def test_committed_config_files_load(path):
 @pytest.mark.parametrize("path", [*CONFIG_FILES, None], ids=lambda p: p.name if p else "correlated")
 def test_channel_combinations_are_equiprobable(path):
     """The learners and ``draw_levels`` pick channel combinations uniformly
-    (``train_tabular`` indexes ``chan_offsets`` with one uniform draw), while
-    the kernel weights them by ``chan_probs``. The two agree only while the
-    quantizer bins are equally likely."""
+    (``train_tabular`` indexes ``chan_offsets`` with one uniform draw), and
+    the kernel weights them by ``chan_probs``: 1/m each."""
     config = load_config(path) if path else make_config(correlated_links=True)
     kernel = build_kernel(config, enumerate_states(config))
     probs = kernel.chan_probs

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu, spsolve
 
 from aoi_rl import mdp
-from aoi_rl.env import HARVEST, action_name, energy_tables, load_config, parse_action
+from aoi_rl.env import HARVEST, action_name, load_config, parse_action
 from aoi_rl.errors import (
     ContractError,
     ConvergenceError,
@@ -134,15 +134,54 @@ def test_infeasible_row_raises():
 
 
 def test_contract_channels_matches_row_expectation():
-    cfg = make_config(battery_quanta=2, aoi_cap=2, levels=3)
-    kernel = build_kernel(cfg, enumerate_states(cfg))
+    cases = {"levels-3": (lambda: make_config(battery_quanta=2, aoi_cap=2, levels=3), "age")}
+    cases.update(_TABLE_CASES)
     rng = np.random.default_rng(0)
-    v = rng.normal(size=kernel.total_states)
-    w = kernel.contract_channels(v)
-    for s in (0, 5, 17):
-        for a in np.flatnonzero(kernel.feasible[s]):
-            cols, probs = kernel.row(s, a)
-            assert w[kernel.succ_small[s, a]] == pytest.approx(float(probs @ v[cols]))
+    for name, (make, objective) in cases.items():
+        cfg = make()
+        kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+        v = rng.normal(size=kernel.total_states)
+        w = kernel.contract_channels(v)
+        assert w.shape == (len(kernel.core_base),), name
+        for s in (0, 5, 17, *rng.integers(kernel.total_states, size=20)):
+            for a in np.flatnonzero(kernel.feasible[s]):
+                cols, probs = kernel.row(s, a)
+                assert w[kernel.succ_small[s, a]] == pytest.approx(float(probs @ v[cols])), name
+
+
+def _row_major_level_states(config, indexer):
+    """Every channel combination as a 0-based state at the lowest battery
+    and AoI, with (g_1, h_1, g_2, h_2, ...) varying in row-major order:
+    under reciprocal links each source's one level fills both g and h."""
+    vps = indexer.vars_per_source
+    per_source = []
+    for spec in config.sources:
+        g, h = range(spec.link.levels_downlink), range(spec.link.levels_uplink)
+        per_source.append([(lv, lv) for lv in g] if config.correlated_links else list(itertools.product(g, h)))
+    for combo in itertools.product(*per_source):
+        state = [0] * len(indexer.dims)
+        for i, (g, h) in enumerate(combo):
+            state[vps * i + vps - 2 : vps * i + vps] = g, h
+        yield state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_config(ROOT / "configs" / "learning_small.yaml"),
+        lambda: make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=2, levels=3, levels_uplink=2),
+        lambda: make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=2, levels=3, correlated_links=True),
+    ],
+    ids=["learning_small", "two-source", "correlated"],
+)
+def test_chan_offsets_enumerate_levels_row_major(make):
+    """``train_tabular`` turns one uniform draw into a channel combination
+    through ``chan_offsets``, so their order fixes its random stream."""
+    cfg = make()
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    expected = [kernel.indexer.state_to_index(s) for s in _row_major_level_states(cfg, kernel.indexer)]
+    assert kernel.chan_offsets.tolist() == expected
+    assert kernel.chan_probs.tolist() == [1.0 / len(expected)] * len(expected)
 
 
 def test_correlated_kernel_contracts_over_diagonal():
@@ -400,8 +439,7 @@ def test_core_chain_starts_at_successor_of_start_state():
         packet_mbits=7.36,
     )
     kernel = build_kernel(cfg, enumerate_states(cfg))
-    e_h, e_t = energy_tables(cfg)
-    assert e_h[0].tolist() == [1] and e_t[0].tolist() == [1, 1]
+    assert cfg.harvest_table == ((1,),) and cfg.transmit_table == ((1, 1),)
     transmit = {(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 1)}  # 0-based (b, A, g, h)
     policy = np.array(
         [int(kernel.indexer.index_to_state(s) in transmit) for s in range(kernel.total_states)]
@@ -556,7 +594,8 @@ def _nA_kernel(config, indexer):
     num_actions = N + 1 if age else 2
     vps = indexer.vars_per_source
     grids = np.unravel_index(np.arange(n), indexer.dims)
-    e_h, e_t = energy_tables(config)
+    e_h = [np.array(t) for t in config.harvest_table]
+    e_t = [np.array(t) for t in config.transmit_table]
     b = [grids[vps * i] for i in range(N)]
     A = [grids[vps * i + 1] for i in range(N)] if age else None
     g = [grids[vps * i + vps - 2] for i in range(N)]

@@ -5,7 +5,6 @@ import csv
 import numpy as np
 import pytest
 
-from aoi_rl.env import HARVEST, energy_tables
 from aoi_rl.errors import ContractError
 from aoi_rl.mdp import StateIndexer, build_kernel, enumerate_states, solve_rvia
 from aoi_rl.structure import (
@@ -124,13 +123,15 @@ def test_single_source_threshold_on_exact_policies(small_config):
 
 def test_single_source_threshold_detects_hole(small_config):
     idx = enumerate_states(small_config)
-    e_h, e_t = energy_tables(small_config)
     # pick the all-max corner (certainly in the high-battery set) and the
     # state just below it in battery
     p = np.zeros(idx.dims, dtype=np.int64)
     p[2, -1, -1, -1] = 1  # transmit at b=2 ...
     p[3, -1, -1, -1] = 0  # ... but harvest at b=3: breaks upward closure
-    need = max(small_config.sources[0].battery_quanta - e_h[0][-1], e_t[0][-1])
+    need = max(
+        small_config.sources[0].battery_quanta - small_config.harvest_table[0][-1],
+        small_config.transmit_table[0][-1],
+    )
     assert need <= 2, "test premise: both states lie in the threshold set"
     violations = check_threshold_single_source(idx, p.ravel(), small_config, "age")
     assert any(v.state == (3, 4, 4, 4) for v in violations)
