@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -18,13 +19,22 @@ import time
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import __version__
-from .dqn import DqnHyperparams, QNetwork, greedy_policy_fn, tabulate_policy, train_dqn
+from .dqn import (
+    _MEMO_SIZE,
+    DqnHyperparams,
+    QNetwork,
+    greedy_policy_fn,
+    tabulate_policy,
+    train_dqn,
+)
 from .env import SystemConfig, load_config, simulate_policy, with_battery_capacity, with_packet_bits
-from .errors import ContractError, SizeLimitError
+from .errors import ContractError, InvalidConfigError, SizeLimitError
 from .mdp import (
     build_kernel,
+    check_policy_feasible,
     enumerate_states,
     evaluate_policy,
     export_policy_csv,
@@ -81,8 +91,7 @@ def _solve_gain(config: SystemConfig, objective: str):
     return indexer, kernel, vt, pt
 
 
-def cmd_solve(args) -> int:
-    config = load_config(args.config)
+def cmd_solve(args, config: SystemConfig) -> int:
     indexer, _, vt, pt = _solve_gain(config, args.objective)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,8 +113,7 @@ def _write_trace_csv(path: Path, header: list[str], *columns: np.ndarray) -> Non
         fh.writelines(map(row.format, itertools.count(), *(map(float, c) for c in columns)))
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config)
+def cmd_train(args, config: SystemConfig) -> int:
     if args.agent == "tabular":
         try:
             indexer = enumerate_states(config, "age")
@@ -176,8 +184,7 @@ def _refuse_artifact(args, artifact: Path, exc: Exception) -> int:
 _UNFIT_ARTIFACT = (OSError, ValueError, ContractError)
 
 
-def cmd_verify(args) -> int:
-    config = load_config(args.config)
+def cmd_verify(args, config: SystemConfig) -> int:
     artifact = Path(args.artifact)
     try:
         if artifact.suffix == ".npz":
@@ -187,6 +194,7 @@ def cmd_verify(args) -> int:
         else:
             indexer = enumerate_states(config, policy_csv_objective(artifact, config))
             policy, values = load_policy_csv(artifact, indexer)
+            check_policy_feasible(config, indexer, policy)
     except _UNFIT_ARTIFACT as exc:
         return _refuse_artifact(args, artifact, exc)
     # the exact solver writes values and the learners do not
@@ -229,8 +237,7 @@ def _sweep_point(config: SystemConfig, args, value: float) -> tuple[float, dict 
     return sim.avg_weighted_aoi, None
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
+def cmd_sweep(args, config: SystemConfig) -> int:
     if args.agent != "exact":
         # the manifest records the seed the learners use; an exact sweep has none
         args.seed = _SEED if args.seed is None else args.seed
@@ -248,8 +255,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
+def _table_policy(indexer, table: np.ndarray):
+    """The action ``table`` holds for a state tuple, memoised per state."""
+    actions = table.tolist()
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def policy(state):
+        return actions[indexer.state_to_index(state)]
+
+    return policy
+
+
+def cmd_simulate(args, config: SystemConfig) -> int:
     artifact = Path(args.policy)
     try:
         if artifact.suffix == ".npz":
@@ -257,10 +274,8 @@ def cmd_simulate(args) -> int:
         else:
             indexer = enumerate_states(config, "age")
             table, _ = load_policy_csv(artifact, indexer)
-
-            def policy(state):
-                return int(table[indexer.state_to_index(state)])
-
+            check_policy_feasible(config, indexer, table)
+            policy = _table_policy(indexer, table)
     except _UNFIT_ARTIFACT as exc:
         return _refuse_artifact(args, artifact, exc)
     sim = simulate_policy(config, policy, args.slots, args.seed)
@@ -367,7 +382,16 @@ def main(argv=None) -> int:
             parser.error("argument --seed: the exact agent does not use it")
         if args.agent != "dqn" and args.eval_slots is not None:
             parser.error(f"argument --eval-slots: the {args.agent} agent does not use it")
-    return args.func(args)
+    try:
+        config = load_config(args.config)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError, InvalidConfigError) as exc:
+        reason = " ".join(str(exc).split())  # YAML errors span several lines
+        print(
+            f"aoi-rl {args.command}: error: cannot use config {args.config}: {reason}",
+            file=sys.stderr,
+        )
+        return 2
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

@@ -12,13 +12,14 @@ operation each.
 
 Training interacts with the environment through ``env.step`` on the
 state tuple, so it needs no enumeration of the state space. The network
-input is that tuple scaled into [0, 1] per variable. Every matrix product
-keeps the shape the per-call functions give it (a one-row forward stays
-one row, the s' and s halves of a batch stay B rows each): BLAS may
-round a product differently when its row count changes. Greedy policies
-copy their network when they are built and memoise the action per state;
-the training loop memoises each state's encoding, mask and stage cost.
-Both memos are least-recently-used caches of ``_MEMO_SIZE`` states.
+input is that tuple scaled into [0, 1] per variable. The training loop
+forwards a batch's s' and s rows as one stack of 2B rows, where the
+per-call functions forward B rows at a time; BLAS rounds each row of
+these products alike, as the per-call reference test checks. Greedy
+policies copy their network when they are built and memoise the action
+per state; the training loop memoises each state's encoding, mask and
+stage cost. Both memos are least-recently-used caches of ``_MEMO_SIZE``
+states.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import env, mdp
 from .env import State, SystemConfig
 from .errors import ContractError
 from .mdp import TransitionKernel
-from .tabular import DEFAULT_EPS0, epsilon
+from .tabular import DEFAULT_EPS0, epsilon_segments
 
 # states per memo: all of a small chain, the hot states of a large one
 _MEMO_SIZE = 1 << 12
@@ -104,7 +105,7 @@ class QNetwork:
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             out = acts[k + 1]
-            np.matmul(acts[k], w, out=out)
+            np.dot(acts[k], w, out=out)
             out += b
             if k < last:
                 np.maximum(out, 0.0, out=out)
@@ -193,7 +194,7 @@ def batch_targets(prev_net, costs, enc_next, masks_next, enc_ref, mask_ref) -> n
 def _relative_targets(costs, q_next, masks_next, ref_best) -> np.ndarray:
     """Batch targets from the next-state Q-values and the best feasible
     Q-value at the reference state, both of the network before the update."""
-    return costs + np.where(masks_next, q_next, np.inf).min(axis=1) - ref_best
+    return costs + np.minimum.reduce(np.where(masks_next, q_next, np.inf), axis=1) - ref_best
 
 
 def _activations(layer_sizes: list[int], rows: int) -> list[np.ndarray]:
@@ -217,10 +218,10 @@ def _backward(net: QNetwork, acts, deltas, actions, targets, grads_w, grads_b) -
     delta.fill(0.0)
     delta[rows, actions] = errors / B
     for k in range(len(grads_w) - 1, -1, -1):
-        np.matmul(acts[k].T, delta, out=grads_w[k])
+        np.dot(acts[k].T, delta, out=grads_w[k])
         np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
-            np.matmul(delta, net.weights[k].T, out=deltas[k - 1])
+            np.dot(delta, net.weights[k].T, out=deltas[k - 1])
             delta = deltas[k - 1]
             delta *= acts[k] > 0
     return loss
@@ -298,9 +299,10 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     The targets come from the live network before this slot's update: its
     forward of the sampled s' rows, and the best reference-state value it
     gave at the end of the previous slot. The loop computes what
-    ``batch_targets`` and ``gradient_step`` would, on the same batch shapes
-    and in the same order, in reused arrays and without their per-call
-    checks.
+    ``batch_targets`` and ``gradient_step`` would, in the same order, in
+    reused arrays and without their per-call checks. It forwards the s'
+    and s rows of a batch as one stacked batch, which rounds each row as
+    the separate forwards do.
     """
     rng = np.random.default_rng(hyper.seed)
     num_actions = config.num_sources + 1
@@ -311,65 +313,74 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def observe(state: State) -> tuple:
-        """Encoding, feasible-action mask and indices, and stage cost of a state."""
+        """One-row encoding, feasible-action mask and list, and stage cost
+        of a state."""
+        feas = env.feasible_actions(config, state)
         mask = np.zeros(num_actions, dtype=bool)
-        mask[env.feasible_actions(config, state)] = True
-        enc = np.asarray(state, dtype=float) / denoms
-        return enc, mask, np.flatnonzero(mask), env.stage_cost(config, state)
+        mask[feas] = True
+        enc = np.asarray(state, dtype=float)[None, :] / denoms
+        return enc, mask, feas, env.stage_cost(config, state)
 
     # reference state: empty batteries, fresh information, lowest levels
-    enc_ref, ref_mask, _, _ = observe((0,) * sizes[0])
+    enc_ref, _, ref_feas, _ = observe((0,) * sizes[0])
 
     gain_trace = np.empty(hyper.total_slots)
     eps_trace = np.empty(hyper.total_slots)
     loss_trace = np.full(hyper.total_slots, np.nan)
 
-    # batch workspace: the sampled s rows and, apart, their s' rows
+    # batch workspace: the sampled s' rows stacked over their s rows
     B = _BATCH_SIZE
-    acts_s = _activations(sizes, B)
-    acts_next = _activations(sizes, B)
+    acts = _activations(sizes, 2 * B)
+    acts_next = [a[:B] for a in acts]
+    acts_s = [a[B:] for a in acts]
     deltas = _activations(sizes[1:], B)
     grads = np.empty_like(net.params)
     grads_w, grads_b = net.layers(grads)
     row_acts = [None, *_activations(sizes[1:], 1)]
-    ref_acts = [enc_ref[None, :], *_activations(sizes[1:], 1)]
+    ref_acts = [enc_ref, *_activations(sizes[1:], 1)]
 
     net._forward_into(ref_acts)
-    ref_best = ref_acts[-1][0][ref_mask].min()  # of the live network
+    q_ref = ref_acts[-1][0].tolist()
+    ref_best = min(q_ref[a] for a in ref_feas)  # of the live network
     state = env.initial_state(config)
-    enc_s, mask, feas, cost = observe(state)
-    for k in range(hyper.total_slots):
-        eps = epsilon(hyper.eps0, k)
-        if rng.random() < eps:
-            action = int(feas[rng.integers(len(feas))])
-        else:
-            row_acts[0] = enc_s[None, :]
-            net._forward_into(row_acts)
-            action = int(np.argmin(np.where(mask, row_acts[-1][0], np.inf)))
-        state = env.step(config, state, action, env.draw_levels(config, rng))
-        enc_next, mask_next, feas_next, cost_next = observe(state)
-        memory.push(enc_s, action, cost, enc_next, mask_next)
+    enc_s, _, feas, cost = observe(state)
+    random, integers = rng.random, rng.integers
+    for start, stop, eps in epsilon_segments(hyper.eps0, hyper.total_slots):
+        eps_trace[start:stop] = eps
+        for k in range(start, stop):
+            if random() < eps:
+                action = feas[integers(len(feas))]
+            else:
+                row_acts[0] = enc_s
+                net._forward_into(row_acts)
+                q = row_acts[-1][0].tolist()
+                action = min(feas, key=q.__getitem__)  # ties to the lowest action
+            state = env.step(config, state, action, env.draw_levels(config, rng))
+            enc_next, mask_next, feas_next, cost_next = observe(state)
+            memory.push(enc_s, action, cost, enc_next, mask_next)
 
-        if memory.size >= B:
-            idx = memory.sample(B, rng)
-            np.take(memory.enc_next, idx, axis=0, out=acts_next[0])
-            net._forward_into(acts_next)
-            targets = _relative_targets(
-                memory.costs[idx], acts_next[-1], memory.mask_next[idx], ref_best
-            )
-            np.take(memory.enc_s, idx, axis=0, out=acts_s[0])
-            net._forward_into(acts_s)
-            loss = _backward(net, acts_s, deltas, memory.actions[idx], targets, grads_w, grads_b)
-            _update(net, grads, _LEARNING_RATE, loss)
-            loss_trace[k] = loss
+            if memory.size >= B:
+                idx = memory.sample(B, rng)
+                memory.enc_next.take(idx, axis=0, out=acts_next[0])
+                memory.enc_s.take(idx, axis=0, out=acts_s[0])
+                net._forward_into(acts)
+                targets = _relative_targets(
+                    memory.costs[idx], acts_next[-1], memory.mask_next[idx], ref_best
+                )
+                loss = _backward(
+                    net, acts_s, deltas, memory.actions[idx], targets, grads_w, grads_b
+                )
+                _update(net, grads, _LEARNING_RATE, loss)
+                loss_trace[k] = loss
 
-        net._forward_into(ref_acts)
-        q_ref = ref_acts[-1][0]
-        ref_best = gain_trace[k] = q_ref[ref_mask].min()
-        eps_trace[k] = eps
-        if np.abs(q_ref).max() > _DIVERGENCE_LIMIT:
-            raise FloatingPointError(f"Q-values diverged beyond {_DIVERGENCE_LIMIT} at slot {k}")
-        enc_s, mask, feas, cost = enc_next, mask_next, feas_next, cost_next
+            net._forward_into(ref_acts)
+            q_ref = ref_acts[-1][0].tolist()
+            ref_best = gain_trace[k] = min(q_ref[a] for a in ref_feas)
+            if max(map(abs, q_ref)) > _DIVERGENCE_LIMIT:
+                raise FloatingPointError(
+                    f"Q-values diverged beyond {_DIVERGENCE_LIMIT} at slot {k}"
+                )
+            enc_s, feas, cost = enc_next, feas_next, cost_next
 
     return DqnResult(
         network=net,

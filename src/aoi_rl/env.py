@@ -225,16 +225,41 @@ def initial_state(config: SystemConfig) -> State:
     return tuple(v for s in config.sources for v in (s.battery_quanta, 0, 0, 0))
 
 
-def draw_levels(config: SystemConfig, rng: np.random.Generator) -> Levels:
-    """Sample next-slot 0-based channel levels as (downlinks, uplinks).
-
-    Every source's downlink is drawn before any uplink; correlated links
-    reuse the downlink levels as the uplink levels.
-    """
-    down = tuple(sample_level(q, rng) - 1 for q in config.downlink_quantizers)
+def _drawn_quantizers(config: SystemConfig) -> tuple[FadingQuantizer, ...]:
+    """The quantizers one slot's channel draw samples, in stream order:
+    every source's downlink, then every uplink unless correlated links
+    reuse the downlink levels."""
     if config.correlated_links:
-        return down, down
-    return down, tuple(sample_level(q, rng) - 1 for q in config.uplink_quantizers)
+        return config.downlink_quantizers
+    return config.downlink_quantizers + config.uplink_quantizers
+
+
+def _as_levels(config: SystemConfig, drawn: list[int]) -> Levels:
+    """One slot's 0-based draws, ordered as ``_drawn_quantizers``, as
+    (downlinks, uplinks)."""
+    n = config.num_sources
+    down = tuple(drawn[:n])
+    return (down, down) if config.correlated_links else (down, tuple(drawn[n:]))
+
+
+def draw_levels(config: SystemConfig, rng: np.random.Generator) -> Levels:
+    """Sample next-slot 0-based channel levels as (downlinks, uplinks)."""
+    return _as_levels(config, [sample_level(q, rng) - 1 for q in _drawn_quantizers(config)])
+
+
+# slots of channel levels a rollout draws per numpy call
+_DRAW_BLOCK = 4096
+
+
+def _level_blocks(config: SystemConfig, rng: np.random.Generator, slots: int):
+    """Yield the channel levels of ``slots`` slots in turn: the draws
+    ``draw_levels`` makes slot by slot, from the same stream, made
+    ``_DRAW_BLOCK`` slots at a time."""
+    highs = np.array([q.num_levels for q in _drawn_quantizers(config)])
+    for start in range(0, slots, _DRAW_BLOCK):
+        block = rng.integers(1, highs + 1, size=(min(_DRAW_BLOCK, slots - start), len(highs)))
+        for drawn in (block - 1).tolist():
+            yield _as_levels(config, drawn)
 
 
 @dataclass
@@ -254,7 +279,9 @@ def simulate_policy(
     Averages over slots 0..horizon-1 (i.e. 1/(K+1) with K = horizon-1).
     Throughput is reported for the single-source case only. ``policy``
     receives the state tuple; an infeasible choice raises
-    ``InfeasibleActionError``.
+    ``InfeasibleActionError``. The channel levels are drawn up to
+    ``_DRAW_BLOCK`` slots per numpy call; they are the levels, from the
+    same stream, that ``draw_levels`` would draw slot by slot.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -263,7 +290,7 @@ def simulate_policy(
     total_cost = 0.0
     transmit_slots = 0
     costs: dict[tuple, float] = {}  # stage cost per AoI tuple
-    for _ in range(horizon):
+    for levels in _level_blocks(config, rng, horizon):
         action = policy(state)
         aoi = state[1::4]
         cost = costs.get(aoi)
@@ -272,7 +299,7 @@ def simulate_policy(
         total_cost += cost
         if action == 1 and config.num_sources == 1:
             transmit_slots += 1
-        state = step(config, state, action, draw_levels(config, rng))
+        state = step(config, state, action, levels)
     avg_aoi = total_cost / horizon
     avg_tp = (
         transmit_slots * config.packet_bits / horizon if config.num_sources == 1 else None

@@ -827,3 +827,25 @@ def load_policy_csv(path, indexer: StateIndexer):
         n = indexer.total_states
         raise ContractError(f"{total_rows} policy rows do not cover the {n} states once each")
     return policy, (values if any_values else None)
+
+
+def check_policy_feasible(config: SystemConfig, indexer: StateIndexer, policy: np.ndarray) -> None:
+    """Raise ``ContractError`` if ``policy`` transmits from a state whose
+    battery cannot pay the uplink cost, naming how many states do and the
+    first of them as the policy file writes it."""
+    vps = indexer.vars_per_source
+    axes = np.ogrid[tuple(slice(d) for d in indexer.dims)]  # open grid, one array per variable
+    actions = np.asarray(policy).reshape(indexer.dims)
+    infeasible = np.zeros(indexer.dims, dtype=bool)
+    for j, costs in enumerate(config.transmit_table):
+        battery, uplink = axes[vps * j], axes[vps * j + vps - 1]
+        infeasible |= (actions == j + 1) & (battery < np.take(costs, uplink))
+    count = int(np.count_nonzero(infeasible))
+    if count:
+        s = int(infeasible.argmax())
+        values = np.add(indexer.index_to_state(s), _display_offsets(indexer))
+        first = ", ".join(map("{}={}".format, indexer.var_names, values))
+        raise ContractError(
+            f"{count} state(s) take a transmission their battery cannot pay for; "
+            f"the first, ({first}), takes {action_name(int(policy[s]))}"
+        )

@@ -29,6 +29,15 @@ def epsilon(eps0: float, k: int) -> float:
     return max(min(eps0, _EPS_MIN), eps0 * _EPS_DECAY ** (k // _EPS_INTERVAL))
 
 
+def epsilon_segments(eps0: float, total_slots: int, *cuts: int):
+    """(start, stop, epsilon) of the consecutive slot ranges that cover
+    slots 0..total_slots-1, cut wherever ``epsilon`` steps and at ``cuts``,
+    so that a slot loop computes epsilon once per range."""
+    steps = range(0, total_slots, _EPS_INTERVAL)
+    bounds = sorted({*steps, *(c for c in cuts if 0 < c < total_slots), total_slots})
+    return [(start, stop, epsilon(eps0, start)) for start, stop in zip(bounds, bounds[1:])]
+
+
 def step_size(k: int) -> float:
     """Step sizes with a divergent sum and a summable square: 0.5 at slot
     0, halved by slot 10,000."""
@@ -112,7 +121,7 @@ def train_tabular(
     n_actions = kernel.num_actions
     # The slot loop is epsilon_greedy + q_update on Python scalars: flat
     # memoryviews of the arrays, plus each state's best feasible Q-value
-    # and its lowest-index argmin, refreshed whenever a row of Q changes.
+    # and its lowest-index argmin, kept current as entries of Q change.
     # It draws from ``rng`` in the same order and evaluates the same float
     # expressions, so its results are identical to the per-call functions'.
     masked = np.where(qt.feasible, qt.q, np.inf)
@@ -135,25 +144,42 @@ def train_tabular(
     ref = qt.reference_state
     random, integers = rng.random, rng.integers
     s = kernel.start_index
-    for k in range(total_slots):
-        state_visits_view[s] += 1
-        if k == pin_slot:
+    # the reference state is pinned at the start of a segment, and visits
+    # are counted up to the pin only
+    for start, stop, eps in epsilon_segments(eps0, total_slots, pin_slot):
+        if start == pin_slot:
+            state_visits_view[s] += 1
             ref = qt.reference_state = int(state_visits.argmax())
-        row = s * n_actions
-        eps = epsilon(eps0, k)
-        if eps > 0 and random() < eps:
-            feas = [b for b in actions if feasible[row + b]]
-            a = feas[integers(len(feas))]
-        else:
-            a = best_a_view[s]
-        sa = row + a
-        s_next = succ[sa] + offsets[integers(n_combos)]
-        q[sa] += step_size(k) * (cost[s] + best_q_view[s_next] - best_q_view[ref] - q[sa])
-        best, best_action = np.inf, -1
-        for b in actions:
-            if feasible[row + b] and (best_action < 0 or q[row + b] < best):
-                best, best_action = q[row + b], b
-        best_q_view[s], best_a_view[s] = best, best_action
-        trace_view[k] = best_q_view[ref]
-        s = s_next
+        counting = start < pin_slot
+        explore = eps > 0
+        for k in range(start, stop):
+            if counting:
+                state_visits_view[s] += 1
+            row = s * n_actions
+            if explore and random() < eps:
+                feas = [b for b in actions if feasible[row + b]]
+                a = feas[integers(len(feas))]
+            else:
+                a = best_a_view[s]
+            sa = row + a
+            s_next = succ[sa] + offsets[integers(n_combos)]
+            value = q[sa] = q[sa] + step_size(k) * (
+                cost[s] + best_q_view[s_next] - best_q_view[ref] - q[sa]
+            )
+            # only Q[s, a] moved: the row needs a rescan only when its best
+            # entry went up
+            best, best_action = best_q_view[s], best_a_view[s]
+            if a != best_action:
+                if value < best or value == best and a < best_action:
+                    best_q_view[s], best_a_view[s] = value, a
+            elif value <= best:
+                best_q_view[s] = value
+            else:
+                best, best_action = np.inf, -1
+                for b in actions:
+                    if feasible[row + b] and (best_action < 0 or q[row + b] < best):
+                        best, best_action = q[row + b], b
+                best_q_view[s], best_a_view[s] = best, best_action
+            trace_view[k] = best_q_view[ref]
+            s = s_next
     return qt, trace

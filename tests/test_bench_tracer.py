@@ -4,9 +4,11 @@ name it wraps, so a rename in the package cannot break a traced run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from aoi_rl import cli, dqn, env, mdp, tabular
 from aoi_rl.dqn import DqnHyperparams
-from aoi_rl.env import load_config
+from aoi_rl.env import draw_levels, initial_state, load_config, step
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -29,14 +31,23 @@ def test_tracer_installs_counts_and_unpatches():
         config = load_config(ROOT / "configs" / "learning_small.yaml")
         result = cli.train_dqn(config, DqnHyperparams(total_slots=40, seed=0))
         policy = cli.greedy_policy_fn(result.network, config)
-        cli.simulate_policy(config, policy, 5, 0)
+        seen = []
+        cli.simulate_policy(config, lambda state: seen.append(state) or policy(state), 5, 0)
     finally:
         tracer.unpatch()
     calls = {name: c for name, (_, _, c) in tracer.summary().items()}
     assert calls["dqn.train_dqn"] == 1
     assert calls["env.simulate_policy"] == 1
     assert calls["dqn.greedy_policy"] == 5
-    # training and rollouts step through the same env functions: 40 + 5 slots
-    assert calls["env.step"] == calls["env.draw_levels"] == 40 + 5
-    assert tracer.counts["channel.sample_level.calls"] == 2 * (40 + 5)
+    # training and rollouts step through the same env function: 40 + 5 slots
+    assert calls["env.step"] == 40 + 5
+    # training draws its channel levels slot by slot; the rollout draws its
+    # levels in one block, from the stream draw_levels reads slot by slot
+    assert calls["env.draw_levels"] == 40
+    assert tracer.counts["channel.sample_level.calls"] == 2 * 40
+    rng, state = np.random.default_rng(0), initial_state(config)
+    for visited in seen:
+        assert visited == state
+        state = step(config, state, result.greedy_policy(state), draw_levels(config, rng))
+    assert len(seen) == 5
     assert [dict(vars(owner)) for owner in owners] == before

@@ -552,10 +552,25 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
         # a two-source network reads 8 inputs; one source encodes to 4
         QNetwork.create([8, 16, 3], np.random.default_rng(0)).save(path)
         return path, "8"
+    if kind.startswith("infeasible"):
+        # T1 in every state with an empty battery: 3 AoIs x 2 x 2 levels
+        fields = [row.split(",") for row in rows]
+        for f in fields:
+            f[4] = "T1" if f[0] == "0" else f[4]
+            f[5] = f[5] if kind == "infeasible" else ""
+        path.write_text("\n".join([header, *map(",".join, fields)]) + "\n")
+        return path, (
+            "12 state(s) take a transmission their battery cannot pay for; "
+            "the first, (b_1=0, A_1=1, g_1=1, h_1=1), takes T1"
+        )
     return tmp_path / "absent.csv", "No such file"
 
 
-@pytest.mark.parametrize("kind", ["header", "off-grid", "missing-rows", "action", "width", "missing-file"])
+_UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "width", "missing-file",
+                "infeasible", "infeasible-without-values"]
+
+
+@pytest.mark.parametrize("kind", _UNFIT_KINDS)
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_unfit_artifact_exits_2_before_any_work(tmp_path, config_path, capsys, monkeypatch, command, kind):
     """A policy file or checkpoint that does not fit ``--config`` is one
@@ -580,6 +595,46 @@ def test_unfit_artifact_exits_2_before_any_work(tmp_path, config_path, capsys, m
     [line] = captured.err.splitlines()
     assert line.startswith(f"aoi-rl {command}: error: cannot use {path} with {config_path}: ")
     assert reason in line
+
+
+def _unusable_config(kind, tmp_path, config_path) -> tuple[Path, str]:
+    """A ``--config`` file that cannot be used, and a fragment of the
+    reason the CLI gives."""
+    path = tmp_path / "unusable.yaml"
+    if kind == "missing-file":
+        return tmp_path / "absent.yaml", "No such file"
+    if kind == "yaml-syntax":
+        path.write_text(config_path.read_text() + "sources: [\n")
+        return path, "while parsing"
+    data = yaml.safe_load(config_path.read_text())
+    del data["reference_gain"]
+    path.write_text(yaml.safe_dump(data))
+    return path, "missing config key reference_gain at the top level"
+
+
+@pytest.mark.parametrize("kind", ["missing-file", "yaml-syntax", "invalid"])
+@pytest.mark.parametrize("command", ["solve", "train", "verify", "sweep", "simulate"])
+def test_unusable_config_exits_2_with_one_line(tmp_path, config_path, capsys, command, kind):
+    """A config that is missing, is not YAML or is not a valid scenario is
+    one error line and exit status 2 (``verify``'s 1 means violations), and
+    no output is created."""
+    path, reason = _unusable_config(kind, tmp_path, config_path)
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", "--out", str(out)],
+        "train": ["train", "--slots", "10", "--out", str(out)],
+        "verify": ["verify", str(tmp_path / "policy.csv"), "--out", str(out)],
+        "sweep": ["sweep", "--vary", "packet_bits", "--values", "1", "--out", str(out)],
+        "simulate": ["simulate", "--policy", str(tmp_path / "policy.csv")],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"aoi-rl {command}: error: cannot use config {path}: ")
+    assert reason in line
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoi_rl import env
 from aoi_rl.env import (
     HARVEST,
     action_name,
@@ -396,14 +397,24 @@ def _policies(config):
     return [lambda state: HARVEST, oldest_affordable, scrambled]
 
 
-def test_simulate_policy_matches_dataclass_reference():
-    for n, cfg in enumerate(_table_configs()):
-        for policy in _policies(cfg):
-            sim, sim_trace = _simulate_traced(cfg, policy, 300, seed=n)
-            avg, throughput, trace = _reference_simulate(cfg, policy, 300, seed=n)
-            assert sim.avg_weighted_aoi == avg
-            assert sim.avg_throughput_bits == throughput
-            assert sim_trace == trace
+def test_simulate_policy_matches_dataclass_reference(monkeypatch):
+    configs = _table_configs()
+    block = env._DRAW_BLOCK
+    # 300 slots fit one level-draw block; the other rollouts cross blocks:
+    # a small block on every config, and the real one on the three larger
+    for horizon, draw_block, cases in [
+        (300, block, configs),
+        (300, 64, configs),
+        (2 * block + 300, block, configs[-3:]),
+    ]:
+        monkeypatch.setattr(env, "_DRAW_BLOCK", draw_block)
+        for n, cfg in enumerate(cases):
+            for policy in _policies(cfg):
+                sim, sim_trace = _simulate_traced(cfg, policy, horizon, seed=n)
+                avg, throughput, trace = _reference_simulate(cfg, policy, horizon, seed=n)
+                assert sim.avg_weighted_aoi == avg
+                assert sim.avg_throughput_bits == throughput
+                assert sim_trace == trace
 
 
 def test_simulate_policy_cost_memo_matches_per_slot_cost():

@@ -26,6 +26,7 @@ from aoi_rl.mdp import (
     _dense_chain_gain,
     brute_force_oracle,
     build_kernel,
+    check_policy_feasible,
     enumerate_states,
     evaluate_policy,
     export_policy_csv,
@@ -738,6 +739,14 @@ def test_derived_arrays_match_nA_builder(case):
         assert np.array_equal(kernel.reward_sa, stage)
     for arr in (kernel.feasible, kernel.succ_small, kernel.succ_full):
         assert arr.flags.c_contiguous and arr.flags.writeable
+    # the policy-file check counts exactly the infeasible choices of a policy
+    states = np.arange(kernel.total_states)
+    policy = np.random.default_rng(0).integers(kernel.num_actions, size=kernel.total_states)
+    bad = np.count_nonzero(~feasible[states, policy])
+    if bad:
+        with pytest.raises(ContractError, match=f"^{bad} state"):
+            check_policy_feasible(cfg, kernel.indexer, policy)
+    check_policy_feasible(cfg, kernel.indexer, np.where(feasible[states, policy], policy, HARVEST))
 
 
 def test_near_ties_count_planted_ties():

@@ -136,19 +136,30 @@ def _reference_train_tabular(config, total_slots, seed, eps0):
 
 
 @pytest.mark.parametrize(
-    "config, seed, eps0, slots",
+    "config, seed, eps0, slots, eps_interval",
     [
-        (make_config(), 0, EPS0, 6000),
-        (make_config(), 7, EPS0, 6000),
-        (make_config(battery_quanta=2, aoi_cap=3, levels=2), 1, EPS0, 4000),
-        (make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2), 3, EPS0, 6000),
-        (make_config(correlated_links=True), 5, EPS0, 5000),
-        (make_config(), 2, 0.0, 4000),
-        (make_config(rounding_mode="upper-bound", levels=3, levels_uplink=2), 9, EPS0, 300),
+        (make_config(), 0, EPS0, 6000, None),
+        (make_config(), 7, EPS0, 6000, None),
+        (make_config(battery_quanta=2, aoi_cap=3, levels=2), 1, EPS0, 4000, None),
+        (
+            make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=2),
+            3, EPS0, 6000, None,
+        ),
+        (make_config(correlated_links=True), 5, EPS0, 5000, None),
+        (make_config(), 2, 0.0, 4000, None),
+        (make_config(rounding_mode="upper-bound", levels=3, levels_uplink=2), 9, EPS0, 300, None),
+        # the visit in slot 10 itself decides the reference pinned there
+        (make_config(rounding_mode="upper-bound", levels=3, levels_uplink=2), 0, EPS0, 50, None),
+        # epsilon steps 23 times, and the reference is pinned at slot 1000,
+        # mid-interval
+        (make_config(levels=3), 4, EPS0, 6000, 260),
     ],
-    ids=["small-0", "small-7", "tiny", "two-source", "correlated", "no-exploration", "short"],
+    ids=["small-0", "small-7", "tiny", "two-source", "correlated", "no-exploration", "short",
+         "pin-decided", "staircase"],
 )
-def test_training_matches_per_call_reference(config, seed, eps0, slots):
+def test_training_matches_per_call_reference(monkeypatch, config, seed, eps0, slots, eps_interval):
+    if eps_interval is not None:
+        monkeypatch.setattr(tabular, "_EPS_INTERVAL", eps_interval)
     qt, trace = train_tabular(config, slots, seed, eps0=eps0)
     ref, ref_trace = _reference_train_tabular(config, slots, seed, eps0=eps0)
     assert np.array_equal(qt.q, ref.q)
