@@ -84,15 +84,22 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _solve_gain(config: SystemConfig, objective: str):
-    indexer = enumerate_states(config, objective)
-    kernel = build_kernel(config, indexer)
-    vt, pt = solve_rvia(kernel)
-    return indexer, kernel, vt, pt
+def _error(args, message: str) -> int:
+    """Exit status 2 with one error line on stderr, as argparse gives."""
+    print(f"aoi-rl {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+# what enumerating a state space the config cannot take raises
+_UNSOLVABLE = (ContractError, SizeLimitError)
 
 
 def cmd_solve(args, config: SystemConfig) -> int:
-    indexer, _, vt, pt = _solve_gain(config, args.objective)
+    try:
+        indexer = enumerate_states(config, args.objective)
+    except _UNSOLVABLE as exc:
+        return _error(args, f"cannot solve {args.config}: {exc}")
+    vt, pt = solve_rvia(build_kernel(config, indexer))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_policy_csv(out / "policy.csv", indexer, pt.actions, vt.values)
@@ -118,12 +125,9 @@ def cmd_train(args, config: SystemConfig) -> int:
         try:
             indexer = enumerate_states(config, "age")
         except SizeLimitError as exc:
-            print(
-                f"aoi-rl train: error: argument --agent: the tabular agent needs an "
-                f"enumerable state space; {exc}",
-                file=sys.stderr,
+            return _error(
+                args, f"argument --agent: the tabular agent needs an enumerable state space; {exc}"
             )
-            return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     skipped = {}
@@ -173,11 +177,7 @@ def cmd_train(args, config: SystemConfig) -> int:
 def _refuse_artifact(args, artifact: Path, exc: Exception) -> int:
     """Exit status 2 for a policy file or checkpoint that cannot be read
     for ``--config``, with one line naming both."""
-    print(
-        f"aoi-rl {args.command}: error: cannot use {artifact} with {args.config}: {exc}",
-        file=sys.stderr,
-    )
-    return 2
+    return _error(args, f"cannot use {artifact} with {args.config}: {exc}")
 
 
 # what reading a policy file or checkpoint that does not fit the config raises
@@ -217,14 +217,16 @@ def cmd_verify(args, config: SystemConfig) -> int:
     return 1 if violations and not learned else 0
 
 
-def _sweep_point(config: SystemConfig, args, value: float) -> tuple[float, dict | None]:
-    """Gain at one swept value, plus the exact solver's stats (exact agent only)."""
+def _sweep_config(config: SystemConfig, args, value: float) -> SystemConfig:
     if args.vary == "battery_capacity":
-        cfg = with_battery_capacity(config, value * 1e-3)  # mJ on the CLI
-    else:
-        cfg = with_packet_bits(config, value * 1e6)  # Mbits on the CLI
+        return with_battery_capacity(config, value * 1e-3)  # mJ on the CLI
+    return with_packet_bits(config, value * 1e6)  # Mbits on the CLI
+
+
+def _sweep_point(cfg: SystemConfig, args) -> tuple[float, dict | None]:
+    """Gain at one swept config, plus the exact solver's stats (exact agent only)."""
     if args.agent == "exact":
-        _, _, vt, _ = _solve_gain(cfg, args.objective)
+        vt, _ = solve_rvia(build_kernel(cfg, enumerate_states(cfg, args.objective)))
         return vt.gain, vt.stats
     slots = _SLOTS if args.slots is None else args.slots
     if args.agent == "tabular":
@@ -241,7 +243,15 @@ def cmd_sweep(args, config: SystemConfig) -> int:
     if args.agent != "exact":
         # the manifest records the seed the learners use; an exact sweep has none
         args.seed = _SEED if args.seed is None else args.seed
-    gains, stats = zip(*(_sweep_point(config, args, v) for v in args.values))
+    points = [_sweep_config(config, args, v) for v in args.values]
+    if args.agent != "dqn":
+        # the exact and tabular agents need every point's state space enumerable
+        for value, cfg in zip(args.values, points):
+            try:
+                enumerate_states(cfg, args.objective)
+            except _UNSOLVABLE as exc:
+                return _error(args, f"cannot sweep {args.vary}={value:g} with the {args.agent} agent: {exc}")
+    gains, stats = zip(*(_sweep_point(cfg, args) for cfg in points))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:
@@ -386,11 +396,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
     except (OSError, UnicodeDecodeError, yaml.YAMLError, InvalidConfigError) as exc:
         reason = " ".join(str(exc).split())  # YAML errors span several lines
-        print(
-            f"aoi-rl {args.command}: error: cannot use config {args.config}: {reason}",
-            file=sys.stderr,
-        )
-        return 2
+        return _error(args, f"cannot use config {args.config}: {reason}")
     return args.func(args, config)
 
 

@@ -1,9 +1,9 @@
 """Exact treatment of the scheduling MDP on the enumerated state space.
 
 State indexing, the factored transition kernel, relative value iteration
-for the average-cost (age) and average-reward (throughput) objectives, an
-exhaustive policy-enumeration oracle for tiny instances, and exact policy
-evaluation on the post-decision (core) chain, all on numpy alone.
+for the average-cost (age) and average-reward (throughput) objectives, and
+exact policy evaluation on the post-decision (core) chain, all on numpy
+alone.
 
 The kernel is kept in factored form: the battery/AoI successor of a
 (state, action) pair is deterministic, and the next channel levels are
@@ -14,17 +14,19 @@ probability 1/m. Each action's successor depends on a few state axes only
 (harvest on the core and the downlink levels, transmit j on the core and
 h_j), so the kernel holds one successor table per action, full-size on
 those axes and size 1 on the rest; RVIA broadcasts them and never builds
-an (n, A) array. Rows of the full
-transition matrix are materialized on demand only, by the oracle.
+an (n, A) array.
 
 Because the channel levels of each slot are drawn independently of the
 past, the channel-free (battery, AoI) "core" sequence under a stationary
-policy is itself a Markov chain. Policy evaluation therefore solves that
-chain, whose size is the core count (100 states on a single source with
-ten battery levels and AoI cap 10), instead of the full-state chain. The
-full chain's stationary law is the core law times the uniform law of the
-channel combinations, and the full chain started at the canonical start
-state enters the core chain at the start state's successor core.
+policy is itself a Markov chain, and a full state's value enters the
+Bellman backup only through its core's mean over the channel levels.
+RVIA therefore keeps one value per core state between sweeps, and policy
+evaluation solves the core chain, whose size is the core count (100
+states on a single source with ten battery levels and AoI cap 10),
+instead of the full-state chain. The full chain's stationary law is the
+core law times the uniform law of the channel combinations, and the full
+chain started at the canonical start state enters the core chain at the
+start state's successor core.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ _DAMPING = 0.5
 _MAX_SWEEPS = 200_000
 # RVIA stops once the update span drops below this, relative to max(1, |gain|)
 _TOLERANCE = 1e-9
-# largest kernel the exhaustive policy oracle takes
-_ORACLE_STATES, _ORACLE_ACTIONS = 12, 3
 
 
 @dataclass(frozen=True)
@@ -286,11 +286,6 @@ class TransitionKernel:
     def start_index(self) -> int:
         return self.indexer.canonical_start_index()
 
-    def stage(self, s: int, a: int) -> float:
-        if self.objective == "age":
-            return float(self.cost[s])
-        return float(self.reward_sa[s, a])
-
     def contract_channels(self, values: np.ndarray) -> np.ndarray:
         """Expected value over next channel levels, flat over the core dims:
         the mean over the channel axes, every combination being equally
@@ -303,14 +298,6 @@ class TransitionKernel:
         for g_ax in self._chan_axes[-2::-2]:
             v = np.diagonal(v, axis1=g_ax, axis2=g_ax + 1)
         return v.mean(axis=tuple(range(v.ndim - self.config.num_sources, v.ndim))).ravel()
-
-    def row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse successor distribution of one (state, action) pair."""
-        if not self.feasible[s, a]:
-            raise InfeasibleActionError(
-                f"action {action_name(a)} infeasible in state {self.indexer.index_to_state(s)}"
-            )
-        return self.succ_full[s, a] + self.chan_offsets, self.chan_probs
 
 
 def build_kernel(config: SystemConfig, indexer: StateIndexer) -> TransitionKernel:
@@ -332,57 +319,56 @@ class PolicyTable:
 
 
 def solve_rvia(kernel: TransitionKernel) -> tuple[ValueTable, PolicyTable]:
-    """Relative value iteration until the Bellman-update span drops below
-    ``_TOLERANCE``. Gain is the midpoint of the final update differences,
-    which bracket the optimal average for any iterate.
+    """Relative value iteration on the core values until the Bellman-update
+    span drops below ``_TOLERANCE``. Gain is the midpoint of the final
+    update differences, which bracket the optimal average for any iterate.
 
-    Each sweep contracts the channels once, onto the core states, and backs
-    up ``stage + w[succ]`` on each action's own table; the running minimum
-    (maximum for throughput) over actions, harvest first, is the full-state
-    update. Ties go to the lowest action index.
+    The iterate ``w`` holds one value per core state: the expected value of
+    a full state over the next channel levels. Each sweep backs up ``stage
+    + w[succ]`` on each action's own table, takes the running minimum
+    (maximum for throughput) over actions, harvest first, into one reused
+    full-state buffer ``tv``, and contracts it once onto the cores, ``tw``.
+    The bracket is the min/max of ``tw - w``. Contraction is linear, so this
+    is the full-state iteration's update seen through the channel average.
+    Ties go to the lowest action index.
 
     The damped update mixes the previous iterate back in; policy-induced
     chains here can be periodic (deterministic harvest/transmit cycles),
     and undamped value iteration would oscillate on them. Values are kept
-    relative to state 0.
+    relative to state 0: the returned ``values`` are the final sweep's
+    backup ``tv - tv[0]``, the one the policy is extracted from.
 
     Both returned tables carry ``stats``: the sweep count, the final
     ``[lo, hi]`` bracket, and the number of states whose best two feasible
     actions lie within ``_TOLERANCE * max(1, |gain|)`` of each other.
     """
-    n = kernel.total_states
     minimize = kernel.objective == "age"
     best_of = np.minimum if minimize else np.maximum
-    # the extended w's last entry is what an infeasible action (core -1) gets
-    bad = np.inf if minimize else -np.inf
-    v = np.zeros(n)
+    # core values, then what an infeasible action (successor -1) gets
+    w = np.append(np.zeros(len(kernel.core_base)), np.inf if minimize else -np.inf)
+    core = w[:-1]
     tables = list(zip(kernel.stage_tables, kernel.succ_tables))
-    dims = kernel.indexer.dims
-    # full-state buffers, reused by every sweep
-    tv_grid = np.empty(dims)
-    tv = tv_grid.reshape(n)
-    diff = np.empty(n)
+    tv_grid = np.empty(kernel.indexer.dims)
+    tv = tv_grid.reshape(-1)
     for sweep in range(1, _MAX_SWEEPS + 1):
-        w = np.append(kernel.contract_channels(v), bad)
         q = [stage + w[succ] for stage, succ in tables]
         best_of(reduce(best_of, q[:-1]), q[-1], out=tv_grid)
-        np.subtract(tv, v, out=diff)
+        tw = kernel.contract_channels(tv)
+        diff = tw - core
         lo, hi = diff.min(), diff.max()
-        # v = (1 - damping) * v + damping * (tv - tv[0]), in place
-        np.subtract(tv, tv[0], out=diff)
-        diff *= _DAMPING
-        v *= 1.0 - _DAMPING
-        v += diff
+        # w = (1 - damping) * w + damping * (tw - tv[0]), in place
+        core *= 1.0 - _DAMPING
+        core += _DAMPING * (tw - tv[0])
         # span tolerance is relative to the gain magnitude once it exceeds
         # unity (throughput rewards are in bits and far above fp resolution
         # at an absolute 1e-9)
         if hi - lo < _TOLERANCE * max(1.0, 0.5 * abs(hi + lo)):
             gain = float(0.5 * (hi + lo))
-            tolerance = _TOLERANCE * max(1.0, abs(gain))
-            # tv and diff are spent: _greedy reuses them as buffers
-            actions, near_ties = _greedy(q, minimize, tolerance, tv_grid, diff.reshape(dims))
+            values = tv - tv[0]
+            # tv is spent: _greedy reuses it as a buffer
+            actions, near_ties = _greedy(q, minimize, _TOLERANCE * max(1.0, abs(gain)), tv_grid)
             stats = {"sweeps": sweep, "bracket": [float(lo), float(hi)], "near_ties": near_ties}
-            return ValueTable(values=v, gain=gain, stats=stats), PolicyTable(
+            return ValueTable(values=values, gain=gain, stats=stats), PolicyTable(
                 actions=actions, gain=gain, stats=stats
             )
     raise ConvergenceError(
@@ -390,12 +376,12 @@ def solve_rvia(kernel: TransitionKernel) -> tuple[ValueTable, PolicyTable]:
     )
 
 
-def _greedy(q: list[np.ndarray], minimize: bool, tolerance: float, best, spare):
+def _greedy(q: list[np.ndarray], minimize: bool, tolerance: float, best):
     """Best action per state from the per-action backups ``q`` (strict
     improvements only, so ties keep the lowest action), and the number of
-    states whose best two actions lie within ``tolerance``. ``best`` and
-    ``spare`` are full-grid float buffers that are overwritten."""
-    best_of, worst_of = (np.minimum, np.maximum) if minimize else (np.maximum, np.minimum)
+    states whose best two actions lie within ``tolerance``. ``best`` is a
+    full-grid float buffer that is overwritten."""
+    best_of = np.minimum if minimize else np.maximum
     improves = np.less if minimize else np.greater
     actions = np.zeros(best.shape, dtype=np.int64)
     wins = np.empty(best.shape, dtype=bool)
@@ -404,10 +390,12 @@ def _greedy(q: list[np.ndarray], minimize: bool, tolerance: float, best, spare):
     for a, qa in enumerate(q[1:], start=1):
         improves(qa, best, out=wins)
         np.copyto(actions, a, where=wins)
-        best_of(runner_up, worst_of(best, qa, out=spare), out=runner_up)
+        # where qa wins, the old best becomes the runner-up
+        best_of(runner_up, qa, out=runner_up)
+        np.copyto(runner_up, best, where=wins)
         best_of(best, qa, out=best)
-    np.subtract(runner_up, best, out=spare)
-    np.less_equal(np.abs(spare, out=spare), tolerance, out=wins)
+    runner_up -= best
+    np.less_equal(np.abs(runner_up, out=runner_up), tolerance, out=wins)
     return actions.reshape(-1), int(np.count_nonzero(wins))
 
 
@@ -613,105 +601,6 @@ def evaluate_policy(kernel: TransitionKernel, policy: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle (independent of the RVIA path)
-
-
-def _bool_closure(adj: np.ndarray) -> np.ndarray:
-    reach = adj | np.eye(adj.shape[0], dtype=bool)
-    while True:
-        nxt = reach @ reach
-        if (nxt == reach).all():
-            return reach
-        reach = nxt
-
-
-def _dense_chain_gain(P: np.ndarray, stage: np.ndarray, start: int) -> float:
-    """Long-run average of a small dense chain from ``start``. Written
-    independently of the sparse machinery above."""
-    n = P.shape[0]
-    reach = _bool_closure(P > 0)
-    mutual = reach & reach.T
-    recurrent = np.all(~reach | reach.T, axis=1)
-
-    assigned = np.zeros(n, dtype=bool)
-    classes = []
-    for s in range(n):
-        if recurrent[s] and not assigned[s]:
-            members = np.flatnonzero(mutual[s] & recurrent)
-            assigned[members] = True
-            classes.append(members)
-
-    def stationary_gain(members):
-        m = len(members)
-        if m == 1:
-            return float(stage[members[0]])
-        mat = P[np.ix_(members, members)].T - np.eye(m)
-        mat[-1, :] = 1.0
-        rhs = np.zeros(m)
-        rhs[-1] = 1.0
-        pi = np.linalg.solve(mat, rhs)
-        return float(pi @ stage[members])
-
-    if recurrent[start]:
-        for members in classes:
-            if start in members:
-                return stationary_gain(members)
-
-    trans = np.flatnonzero(~recurrent)
-    pos = {s: k for k, s in enumerate(trans)}
-    A = np.eye(len(trans)) - P[np.ix_(trans, trans)]
-    gain = 0.0
-    for members in classes:
-        if not reach[start, members].any():
-            continue
-        rhs = P[np.ix_(trans, members)].sum(axis=1)
-        absorb = np.linalg.solve(A, rhs)
-        p = float(absorb[pos[start]])
-        if p > 0:
-            gain += p * stationary_gain(members)
-    return gain
-
-
-def brute_force_oracle(kernel):
-    """Enumerate every stationary deterministic feasible policy, evaluate
-    each induced chain exactly, and return the best (gain, PolicyTable).
-
-    Works against any object exposing total_states, num_actions, feasible,
-    row(s, a), stage(s, a), objective, and start_index.
-    """
-    n = kernel.total_states
-    A = kernel.num_actions
-    if n > _ORACLE_STATES:
-        raise SizeLimitError(f"oracle limited to {_ORACLE_STATES} states, got {n}")
-    if A > _ORACLE_ACTIONS:
-        raise SizeLimitError(f"oracle limited to {_ORACLE_ACTIONS} actions, got {A}")
-
-    dense = np.zeros((n, A, n))
-    stage = np.zeros((n, A))
-    choices = []
-    for s in range(n):
-        acts = [a for a in range(A) if kernel.feasible[s, a]]
-        choices.append(acts)
-        for a in acts:
-            cols, probs = kernel.row(s, a)
-            np.add.at(dense[s, a], np.asarray(cols), np.asarray(probs))
-            stage[s, a] = kernel.stage(s, a)
-
-    minimize = kernel.objective == "age"
-    start = kernel.start_index
-    best_gain = None
-    best_policy = None
-    idx = np.arange(n)
-    for assignment in itertools.product(*choices):
-        pol = np.array(assignment, dtype=np.int64)
-        g = _dense_chain_gain(dense[idx, pol], stage[idx, pol], start)
-        if best_gain is None or (g < best_gain if minimize else g > best_gain):
-            best_gain = g
-            best_policy = pol
-    return float(best_gain), PolicyTable(actions=best_policy, gain=float(best_gain))
-
-
-# ---------------------------------------------------------------------------
 # CSV export / import of policies and value tables
 
 
@@ -781,8 +670,9 @@ def load_policy_csv(path, indexer: StateIndexer):
     Parses a chunk of rows at a time, column by column. Fields are plain
     comma-separated text, as the writer leaves them; a row without exactly
     the state, action and value fields raises ``ValueError``, and a state
-    off the grid, an action outside H, T1..TN, or a file without exactly
-    one row per state, raises ``ContractError``.
+    off the grid, an action outside H, T1..TN, a file without exactly one
+    row per state, or a value column that is neither entirely empty
+    (learned) nor entirely finite (exact), raises ``ContractError``.
     """
     nv = len(indexer.var_names)
     width = nv + 2
@@ -823,9 +713,12 @@ def load_policy_csv(path, indexer: StateIndexer):
             if any(column):  # an empty field reads as NaN
                 values[s] = [float(x or "nan") for x in column]
                 any_values = True
-    if total_rows != indexer.total_states or (policy < 0).any():
-        n = indexer.total_states
+    n = indexer.total_states
+    if total_rows != n or (policy < 0).any():
         raise ContractError(f"{total_rows} policy rows do not cover the {n} states once each")
+    # an exact policy has a finite value in every state, a learned one none
+    if any_values and (bad := n - np.count_nonzero(np.isfinite(values))):
+        raise ContractError(f"{bad} of the {n} policy values are empty or not finite")
     return policy, (values if any_values else None)
 
 

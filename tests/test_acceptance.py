@@ -29,7 +29,6 @@ from aoi_rl.env import (
 )
 from aoi_rl.errors import SizeLimitError
 from aoi_rl.mdp import (
-    brute_force_oracle,
     build_kernel,
     enumerate_states,
     evaluate_policy,
@@ -44,6 +43,7 @@ from aoi_rl.structure import (
 from aoi_rl.tabular import train_tabular
 
 from conftest import make_config, random_tiny_config
+from oracles import brute_force_oracle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -21,6 +21,8 @@ from aoi_rl.env import load_config, with_battery_capacity
 from aoi_rl.mdp import build_kernel, enumerate_states, load_policy_csv, solve_rvia
 from aoi_rl.tabular import train_tabular
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -552,6 +554,16 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
         # a two-source network reads 8 inputs; one source encodes to 4
         QNetwork.create([8, 16, 3], np.random.default_rng(0)).save(path)
         return path, "8"
+    if kind in ("nan-values", "missing-values"):
+        # every value NaN, or every other one of the 36 emptied
+        cut = [row[: row.rindex(",") + 1] for row in rows]
+        if kind == "nan-values":
+            rows = [c + "nan" for c in cut]
+        else:
+            rows[1::2] = cut[1::2]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        bad = 36 if kind == "nan-values" else 18
+        return path, f"{bad} of the 36 policy values are empty or not finite"
     if kind.startswith("infeasible"):
         # T1 in every state with an empty battery: 3 AoIs x 2 x 2 levels
         fields = [row.split(",") for row in rows]
@@ -567,7 +579,7 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
 
 
 _UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "width", "missing-file",
-                "infeasible", "infeasible-without-values"]
+                "infeasible", "infeasible-without-values", "nan-values", "missing-values"]
 
 
 @pytest.mark.parametrize("kind", _UNFIT_KINDS)
@@ -635,6 +647,54 @@ def test_unusable_config_exits_2_with_one_line(tmp_path, config_path, capsys, co
     assert line.startswith(f"aoi-rl {command}: error: cannot use config {path}: ")
     assert reason in line
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["solve", "--objective", "throughput", "--config", "configs/two_source.yaml"],
+         "cannot solve configs/two_source.yaml: throughput objective is defined for a single source only"),
+        (["sweep", "--objective", "throughput", "--config", "configs/two_source.yaml",
+          "--vary", "packet_bits", "--values", "12"],
+         "cannot sweep packet_bits=12 with the exact agent: throughput objective"),
+        (["sweep", "--config", "configs/three_source.yaml", "--vary", "battery_capacity",
+          "--values", "0.1,0.5"],
+         "cannot sweep battery_capacity=0.5 with the exact agent: state space has 56623104 states"),
+        (["sweep", "--agent", "tabular", "--config", "configs/three_source.yaml",
+          "--vary", "battery_capacity", "--values", "0.1,0.5"],
+         "cannot sweep battery_capacity=0.5 with the tabular agent: state space has 56623104 states"),
+    ],
+    ids=["solve-throughput", "sweep-throughput", "sweep-exact-above-limit", "sweep-tabular-above-limit"],
+)
+def test_unsolvable_state_space_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, reason):
+    """An objective or a state space the config cannot take is one error
+    line and exit status 2, found for every swept point before the first
+    is solved, and no output is created."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for name in ("build_kernel", "solve_rvia", "train_tabular", "train_dqn"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"aoi-rl {argv[0]}: error: {reason}")
+    assert not out.exists()
+
+
+def test_dqn_sweep_runs_above_the_state_limit(tmp_path, capsys):
+    """The DQN agent needs no enumerable state space, so its sweep is not
+    refused where the exact and tabular ones are."""
+    out = tmp_path / "dqn"
+    argv = ["sweep", "--config", str(_huge_config(tmp_path)), "--vary", "packet_bits", "--values", "12",
+            "--agent", "dqn", "--slots", "40", "--eval-slots", "40", "--out", str(out)]
+    assert main(argv) == 0
+    assert "packet_bits=12: gain" in capsys.readouterr().out
+    assert (out / "sweep.csv").read_text().startswith("packet_bits,gain")
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):

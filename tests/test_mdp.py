@@ -23,8 +23,6 @@ from aoi_rl.errors import (
 from aoi_rl.mdp import (
     TransitionKernel,
     _class_gain,
-    _dense_chain_gain,
-    brute_force_oracle,
     build_kernel,
     check_policy_feasible,
     enumerate_states,
@@ -37,6 +35,7 @@ from aoi_rl.mdp import (
 )
 
 from conftest import make_config, random_tiny_config
+from oracles import _dense_chain_gain, brute_force_oracle, row, stage
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,14 +105,14 @@ def test_kernel_rows_sum_to_one():
     kernel = build_kernel(cfg, enumerate_states(cfg))
     for s in range(0, kernel.total_states, 7):
         for a in np.flatnonzero(kernel.feasible[s]):
-            _, probs = kernel.row(s, a)
+            _, probs = row(kernel, s, a)
             assert probs.sum() == pytest.approx(1.0)
 
 
 def test_degenerate_channel_single_successor():
     cfg = make_config(levels=1)
     kernel = build_kernel(cfg, enumerate_states(cfg))
-    cols, probs = kernel.row(0, HARVEST)
+    cols, probs = row(kernel, 0, HARVEST)
     assert len(cols) == 1
     assert probs == pytest.approx([1.0])
 
@@ -121,7 +120,7 @@ def test_degenerate_channel_single_successor():
 def test_two_source_row_has_sixteen_uniform_successors():
     cfg = make_config(distances=(25.0, 40.0), battery_quanta=1, aoi_cap=2, levels=2)
     kernel = build_kernel(cfg, enumerate_states(cfg))
-    cols, probs = kernel.row(0, HARVEST)
+    cols, probs = row(kernel, 0, HARVEST)
     assert len(set(cols.tolist())) == 16
     assert probs == pytest.approx(np.full(16, 1.0 / 16.0))
 
@@ -131,7 +130,7 @@ def test_infeasible_row_raises():
     kernel = build_kernel(cfg, enumerate_states(cfg))
     s_empty = kernel.indexer.state_to_index([0, 0, 0, 0])
     with pytest.raises(InfeasibleActionError):
-        kernel.row(s_empty, 1)
+        row(kernel, s_empty, 1)
 
 
 def test_contract_channels_matches_row_expectation():
@@ -146,7 +145,7 @@ def test_contract_channels_matches_row_expectation():
         assert w.shape == (len(kernel.core_base),), name
         for s in (0, 5, 17, *rng.integers(kernel.total_states, size=20)):
             for a in np.flatnonzero(kernel.feasible[s]):
-                cols, probs = kernel.row(s, a)
+                cols, probs = row(kernel, s, a)
                 assert w[kernel.succ_small[s, a]] == pytest.approx(float(probs @ v[cols])), name
 
 
@@ -188,7 +187,7 @@ def test_chan_offsets_enumerate_levels_row_major(make):
 def test_correlated_kernel_contracts_over_diagonal():
     cfg = make_config(battery_quanta=1, aoi_cap=2, levels=3, correlated_links=True)
     kernel = build_kernel(cfg, enumerate_states(cfg))
-    cols, probs = kernel.row(0, HARVEST)
+    cols, probs = row(kernel, 0, HARVEST)
     # three diagonal (g, h) combos instead of nine independent ones
     assert len(cols) == 3
     assert probs == pytest.approx(np.full(3, 1.0 / 3.0))
@@ -267,10 +266,10 @@ def _dense_full_chain_gain(kernel, policy):
     n = kernel.total_states
     P = np.zeros((n, n))
     for s in range(n):
-        cols, probs = kernel.row(s, int(policy[s]))
+        cols, probs = row(kernel, s, int(policy[s]))
         np.add.at(P[s], cols, probs)
-    stage = np.array([kernel.stage(s, int(policy[s])) for s in range(n)])
-    return _dense_chain_gain(P, stage, kernel.start_index)
+    stages = np.array([stage(kernel, s, int(policy[s])) for s in range(n)])
+    return _dense_chain_gain(P, stages, kernel.start_index)
 
 
 def _scipy_class_gain(P, members, stage):
@@ -641,26 +640,32 @@ def _nA_kernel(config, indexer):
     return feasible, succ_small, succ_full, stage
 
 
-def _nA_solve(kernel, feasible, succ_small, stage, epsilon=1e-9, damping=0.5):
+def _nA_solve(kernel, feasible, succ_small, stage, epsilon=1e-9, damping=0.5, full_state=False):
     """The (n, A) RVIA sweep: gather, mask, reduce, argmin/argmax. Returns
-    values, gain, actions, sweeps, the final bracket and the near-tie count."""
+    values, gain, actions, sweeps, the final bracket and the near-tie count.
+
+    The iterate holds one value per core state, as the solver's does. With
+    ``full_state`` it holds one per full state, contracted at the start of
+    each sweep: plain full-state RVIA, kept as a second reference."""
     minimize = kernel.objective == "age"
     bad = np.inf if minimize else -np.inf
-    v = np.zeros(kernel.total_states)
+    v = np.zeros(kernel.total_states if full_state else len(kernel.core_base))
     for sweep in itertools.count(1):
-        w = kernel.contract_channels(v)
+        w = kernel.contract_channels(v) if full_state else v
         q = np.where(feasible, stage + w[succ_small], bad)
         tv = q.min(axis=1) if minimize else q.max(axis=1)
-        diff = tv - v
+        tw = tv if full_state else kernel.contract_channels(tv)
+        diff = tw - v
         lo, hi = diff.min(), diff.max()
-        v = (1.0 - damping) * v + damping * (tv - tv[0])
+        v = (1.0 - damping) * v + damping * (tw - tv[0])
         if hi - lo < epsilon * max(1.0, 0.5 * abs(hi + lo)):
             gain = float(0.5 * (hi + lo))
             actions = q.argmin(axis=1) if minimize else q.argmax(axis=1)
             ranked = np.sort(q, axis=1) if minimize else -np.sort(q, axis=1)[:, ::-1]
             gaps = np.abs(ranked[:, 1] - ranked[:, 0])
             near = int(np.count_nonzero(gaps <= epsilon * max(1.0, abs(gain))))
-            return v, gain, actions, sweep, [float(lo), float(hi)], near
+            values = v if full_state else tv - tv[0]
+            return values, gain, actions, sweep, [float(lo), float(hi)], near
 
 
 _TABLE_CASES = {
@@ -722,6 +727,20 @@ def test_solver_matches_nA_sweep_bit_for_bit(case, epsilon, monkeypatch):
     assert vt.stats == pt.stats == {"sweeps": sweeps, "bracket": bracket, "near_ties": near}
     assert len(calls) == 2 * sweeps
     assert epsilon < 1e-3 or near > 0
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_solver_matches_full_state_iteration(case):
+    """Iterating core values is the full-state iteration seen through the
+    channel average: the same gain within the tolerance, the same policy."""
+    make, objective = _TABLE_CASES[case]
+    cfg = make()
+    kernel = build_kernel(cfg, enumerate_states(cfg, objective))
+    vt, pt = solve_rvia(kernel)
+    feasible, succ_small, _, stage = _nA_kernel(cfg, kernel.indexer)
+    _, gain, actions, *_ = _nA_solve(kernel, feasible, succ_small, stage, full_state=True)
+    assert abs(vt.gain - gain) <= 1e-9 * max(1.0, abs(gain))
+    assert np.array_equal(pt.actions, actions)
 
 
 @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
@@ -843,13 +862,23 @@ def test_policy_csv_bytes_match_csv_module(tmp_path, cfg_kwargs, with_values, mo
     _csv_writer_export(reference, kernel.indexer, policy, values)
     assert ours.read_bytes() == reference.read_bytes()
 
+    if with_values:
+        # the loader refuses the non-finite values; the row-by-row parse
+        # reads them back, and both read the file with finite ones
+        with pytest.raises(ContractError, match="^3 of the"):
+            load_policy_csv(ours, kernel.indexer)
+        got_policy, got_values = _csv_reader_load(ours, kernel.indexer)
+        assert np.array_equal(got_policy, policy)
+        assert np.array_equal(got_values, values, equal_nan=True)
+        values[:3] = [np.pi, -1e-300, 2.0**60]
+        export_policy_csv(ours, kernel.indexer, policy, values)
     for load in (load_policy_csv, _csv_reader_load):
         got_policy, got_values = load(ours, kernel.indexer)
         assert np.array_equal(got_policy, policy)
         if values is None:
             assert got_values is None
         else:
-            assert np.array_equal(got_values, values, equal_nan=True)
+            assert np.array_equal(got_values, values)
             assert np.array_equal(np.signbit(got_values), np.signbit(values))
 
 
@@ -873,6 +902,13 @@ def test_policy_csv_load_reads_lf_files_and_rejects_gaps(tmp_path, small_config,
     lf.write_text("\n".join([*lines, f"{state},{other},{value}"]) + "\n")
     with pytest.raises(ContractError, match="cover"):
         load_policy_csv(lf, kernel.indexer)
+    # an exact policy's value column holds a finite value in every state
+    nan = [line.rsplit(",", 1)[0] + ",nan" for line in lines[1:]]
+    gaps = [line.rsplit(",", 1)[0] + "," if k % 2 else line for k, line in enumerate(lines[1:])]
+    for rows, bad in ((nan, len(nan)), (gaps, len(gaps) // 2)):
+        lf.write_text("\n".join([lines[0], *rows]) + "\n")
+        with pytest.raises(ContractError, match=f"^{bad} of the {len(rows)} policy values"):
+            load_policy_csv(lf, kernel.indexer)
     lf.write_text("\n".join(lines[:2] + [lines[2] + ",extra"]) + "\n")
     with pytest.raises(ValueError):
         load_policy_csv(lf, kernel.indexer)
