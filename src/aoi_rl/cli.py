@@ -11,7 +11,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -108,16 +107,36 @@ def cmd_solve(args, config: SystemConfig) -> int:
     return 0
 
 
+# trace rows formatted per chunk, which bounds the memory the strings take
+_TRACE_CHUNK_ROWS = 1024
+
+
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of each value, formatting each distinct bit
+    pattern once. A dict finds the repeats: ``np.unique`` would sort, and
+    the first sort in a process maps in about 0.4 MB of numpy's sort code."""
+    texts: dict[int, str] = {}
+    return [
+        texts[bits] if bits in texts else texts.setdefault(bits, repr(value))
+        for bits, value in zip(values.view(np.int64).tolist(), values.tolist())
+    ]
+
+
 def _write_trace_csv(path: Path, header: list[str], *columns: np.ndarray) -> None:
     """Slot number plus one ``repr(float)`` field per column and slot.
 
     The bytes are those of a ``csv.writer`` rendering (CRLF line ends; no
-    field needs quoting), formatted lazily so that no per-row list is built.
+    field needs quoting), formatted ``_TRACE_CHUNK_ROWS`` rows at a time.
     """
-    row = ",".join(["{}"] + ["{!r}"] * len(columns)) + "\r\n"
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    row = ",".join(["{}"] * (1 + len(columns))) + "\r\n"
+    slots = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(row.format, itertools.count(), *(map(float, c) for c in columns)))
+        for start in range(0, slots, _TRACE_CHUNK_ROWS):
+            chunk = range(start, min(slots, start + _TRACE_CHUNK_ROWS))
+            fields = [_float_reprs(c[chunk.start : chunk.stop]) for c in columns]
+            fh.writelines(map(row.format, chunk, *fields))
 
 
 def cmd_train(args, config: SystemConfig) -> int:
@@ -180,8 +199,9 @@ def _refuse_artifact(args, artifact: Path, exc: Exception) -> int:
     return _error(args, f"cannot use {artifact} with {args.config}: {exc}")
 
 
-# what reading a policy file or checkpoint that does not fit the config raises
-_UNFIT_ARTIFACT = (OSError, ValueError, ContractError)
+# what reading a policy file or checkpoint that does not fit the config
+# raises, a config whose state space cannot be enumerated included
+_UNFIT_ARTIFACT = (OSError, ValueError, ContractError, SizeLimitError)
 
 
 def cmd_verify(args, config: SystemConfig) -> int:

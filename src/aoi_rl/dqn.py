@@ -6,25 +6,32 @@ against finite differences parameter by parameter. Infeasible actions are
 masked both at action selection and inside the target minima.
 
 Every weight and bias is a view into one contiguous float64 vector,
-``QNetwork.params``. Backprop writes into a gradient vector of the same
-layout, so the finiteness guard and the SGD update are one array
+``QNetwork.params``, and each layer's weights and bias together are one
+block of it. Each layer's input carries a trailing column of ones, so
+one product applies a layer's weights and bias, and one product gives
+both their gradients. Backprop writes into a gradient vector of the
+same layout, so the finiteness guard and the SGD update are one array
 operation each.
 
 Training interacts with the environment through ``env.step`` on the
 state tuple, so it needs no enumeration of the state space. The network
-input is that tuple scaled into [0, 1] per variable. The training loop
-forwards a batch's s' and s rows as one stack of 2B rows, where the
-per-call functions forward B rows at a time; BLAS rounds each row of
-these products alike, as the per-call reference test checks. Greedy
-policies copy their network when they are built and memoise the action
-per state; the training loop memoises each state's encoding, mask and
-stage cost. Both memos are least-recently-used caches of ``_MEMO_SIZE``
-states.
+input is that tuple scaled into [0, 1] per variable. Each slot runs two
+forwards: a batch's s' and s rows as one stack of 2B rows (the per-call
+functions forward B rows at a time, and BLAS rounds each row alike, as
+the per-call reference test checks), and, after the update, the
+reference state over the next state, which gives both the reference
+value and the next slot's greedy Q-values. Exploration pairs, channel
+levels and replay indices come from separate streams of
+``learner_streams``, drawn in blocks. Greedy policies copy their network
+when they are built and memoise the action per state; the training loop
+memoises each state's encoding, mask and stage cost. Both memos are
+least-recently-used caches of ``_MEMO_SIZE`` states.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +41,7 @@ from . import env, mdp
 from .env import State, SystemConfig
 from .errors import ContractError
 from .mdp import TransitionKernel
-from .tabular import DEFAULT_EPS0, epsilon_segments
+from .tabular import DEFAULT_EPS0, epsilon_segments, explored, learner_streams
 
 # states per memo: all of a small chain, the hot states of a large one
 _MEMO_SIZE = 1 << 12
@@ -42,6 +49,8 @@ _MEMO_SIZE = 1 << 12
 _HIDDEN_SIZES, _LEARNING_RATE = (64, 64), 1e-3
 # experiences per gradient step, and the most the replay memory keeps
 _BATCH_SIZE, _REPLAY_CAPACITY = 32, 100_000
+# slots of replay indices and of exploration pairs drawn per numpy call
+_SLOT_BLOCK = 256
 # training stops once a reference-state Q-value exceeds this magnitude
 _DIVERGENCE_LIMIT = 1e6
 
@@ -49,14 +58,19 @@ _DIVERGENCE_LIMIT = 1e6
 class QNetwork:
     """Fully-connected net: rectifier hidden layers, identity output.
 
-    ``weights[k]`` (fan_in, fan_out) and ``biases[k]`` are views into the
-    flat vector ``params``, laid out layer by layer as w0, b0, w1, b1, ...
+    Layer k is one (fan_in + 1, fan_out) block of the flat vector
+    ``params``, ``blocks[k]``: the weights ``weights[k]`` with the bias
+    ``biases[k]`` as its last row, so ``params`` is laid out layer by
+    layer as w0, b0, w1, b1, ... A forward feeds each layer its input
+    with a trailing column of ones, so one product applies both.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         self._shapes = [np.shape(w) for w in weights]
-        self.params = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in self._shapes))
-        self.weights, self.biases = self.layers(self.params)
+        self.params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in self._shapes))
+        self.blocks = self.layers(self.params)
+        self.weights = [block[:-1] for block in self.blocks]
+        self.biases = [block[-1] for block in self.blocks]
         for view, value in zip(self.weights + self.biases, [*weights, *biases]):
             view[...] = value
 
@@ -69,15 +83,15 @@ class QNetwork:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
-    def layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer weight and bias views into a vector laid out like ``params``."""
-        weights, biases, start = [], [], 0
+    def layers(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-layer (fan_in + 1, fan_out) views into a vector laid out like
+        ``params``: weights, then the bias as the last row."""
+        blocks, start = [], 0
         for fan_in, fan_out in self._shapes:
-            stop = start + fan_in * fan_out
-            weights.append(flat[start:stop].reshape(fan_in, fan_out))
-            biases.append(flat[stop : stop + fan_out])
-            start = stop + fan_out
-        return weights, biases
+            stop = start + (fan_in + 1) * fan_out
+            blocks.append(flat[start:stop].reshape(fan_in + 1, fan_out))
+            start = stop
+        return blocks
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -95,20 +109,22 @@ class QNetwork:
             raise ContractError(
                 f"input width {a.shape[1]} != network input {self.weights[0].shape[0]}"
             )
-        acts = [a, *_activations(self.layer_sizes[1:], len(a))]
+        acts = _activations(self.layer_sizes, len(a))
+        acts[0][:, :-1] = a
         self._forward_into(acts)
         return acts[-1][0] if single else acts[-1]
 
     def _forward_into(self, acts: list[np.ndarray]) -> None:
-        """``forward`` of the batch ``acts[0]``, writing layer k's output
-        into the preallocated ``acts[k + 1]``."""
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = acts[k + 1]
-            np.dot(acts[k], w, out=out)
-            out += b
+        """``forward`` of the batch in ``acts[0]`` (made by ``_activations``),
+        writing layer k's output into ``acts[k + 1]``."""
+        last = len(self.blocks) - 1
+        for k, block in enumerate(self.blocks):
             if k < last:
-                np.maximum(out, 0.0, out=out)
+                out = acts[k + 1]
+                np.matmul(acts[k], block, out=out[:, :-1])
+                np.maximum(out, 0.0, out=out)  # the ones column stays 1
+            else:
+                np.matmul(acts[k], block, out=acts[k + 1])
 
     def save(self, path) -> None:
         arrays = {"format_version": np.array(1), "layer_sizes": np.array(self.layer_sizes)}
@@ -194,20 +210,27 @@ def batch_targets(prev_net, costs, enc_next, masks_next, enc_ref, mask_ref) -> n
 def _relative_targets(costs, q_next, masks_next, ref_best) -> np.ndarray:
     """Batch targets from the next-state Q-values and the best feasible
     Q-value at the reference state, both of the network before the update."""
-    return costs + np.minimum.reduce(np.where(masks_next, q_next, np.inf), axis=1) - ref_best
+    return costs + np.minimum.reduce(q_next, axis=1, where=masks_next, initial=np.inf) - ref_best
 
 
 def _activations(layer_sizes: list[int], rows: int) -> list[np.ndarray]:
-    return [np.empty((rows, width)) for width in layer_sizes]
+    """Work arrays of a ``rows``-row forward: each layer's input with a
+    trailing column of ones, then the output."""
+    acts = [np.empty((rows, width + 1)) for width in layer_sizes[:-1]]
+    for a in acts:
+        a[:, -1] = 1.0
+    return [*acts, np.empty((rows, layer_sizes[-1]))]
 
 
-def _backward(net: QNetwork, acts, deltas, actions, targets, grads_w, grads_b) -> float:
+def _backward(net: QNetwork, acts, deltas, actions, targets, grads) -> float:
     """Mean half-squared TD error of a forwarded batch; its exact gradient
-    goes into ``grads_w``/``grads_b``.
+    goes into ``grads``, per-layer blocks shaped like ``net.blocks``.
 
     ``acts`` holds the batch and every layer's output, and ``deltas[k]``
-    is a work array shaped like ``acts[k + 1]``. Only the taken action's output
-    unit contributes per experience.
+    is a work array shaped like layer k's output. Only the taken action's
+    output unit contributes per experience. The ones column of a layer's
+    input makes one product give the gradient of both its weights and
+    its bias.
     """
     B = len(targets)
     rows = np.arange(B)
@@ -217,13 +240,12 @@ def _backward(net: QNetwork, acts, deltas, actions, targets, grads_w, grads_b) -
     delta = deltas[-1]
     delta.fill(0.0)
     delta[rows, actions] = errors / B
-    for k in range(len(grads_w) - 1, -1, -1):
-        np.dot(acts[k].T, delta, out=grads_w[k])
-        np.add.reduce(delta, axis=0, out=grads_b[k])
+    for k in range(len(grads) - 1, -1, -1):
+        np.matmul(acts[k].T, delta, out=grads[k])
         if k > 0:
-            np.dot(delta, net.weights[k].T, out=deltas[k - 1])
+            np.matmul(delta, net.weights[k].T, out=deltas[k - 1])
             delta = deltas[k - 1]
-            delta *= acts[k] > 0
+            delta *= acts[k][:, :-1] > 0
     return loss
 
 
@@ -239,13 +261,14 @@ def loss_and_grads(net: QNetwork, enc_batch, actions, targets):
     """Mean half-squared TD error over the batch and its exact gradient,
     as per-layer views of one vector laid out like ``net.params``."""
     enc_batch = np.atleast_2d(np.asarray(enc_batch, dtype=float))
-    acts = [enc_batch, *_activations(net.layer_sizes[1:], len(enc_batch))]
+    acts = _activations(net.layer_sizes, len(enc_batch))
+    acts[0][:, :-1] = enc_batch
     net._forward_into(acts)
-    deltas = [np.empty_like(a) for a in acts[1:]]
-    grads_w, grads_b = net.layers(np.empty_like(net.params))
+    deltas = [np.empty((len(enc_batch), width)) for width in net.layer_sizes[1:]]
+    grads = net.layers(np.empty_like(net.params))
     actions, targets = np.asarray(actions, dtype=np.int64), np.asarray(targets, dtype=float)
-    loss = _backward(net, acts, deltas, actions, targets, grads_w, grads_b)
-    return loss, grads_w, grads_b
+    loss = _backward(net, acts, deltas, actions, targets, grads)
+    return loss, [g[:-1] for g in grads], [g[-1] for g in grads]
 
 
 def gradient_step(net: QNetwork, enc_batch, actions, targets, learning_rate: float) -> float:
@@ -292,89 +315,112 @@ def greedy_policy_fn(net: QNetwork, config: SystemConfig) -> Callable[[State], i
     return policy
 
 
+def _replay_indices(rng: np.random.Generator, first: int, slots: int):
+    """Yield the replay indices of slots ``first``..``slots - 1`` in turn:
+    what ``ReplayMemory.sample(_BATCH_SIZE, rng)`` draws slot by slot when
+    slot k samples among min(k + 1, capacity) experiences, from the same
+    stream, made ``_SLOT_BLOCK`` slots at a time."""
+    for start in range(first, slots, _SLOT_BLOCK):
+        sizes = np.minimum(np.arange(start, min(slots, start + _SLOT_BLOCK)) + 1, _REPLAY_CAPACITY)
+        yield from rng.integers(0, sizes[:, None], size=(len(sizes), _BATCH_SIZE))
+
+
+def _uniform_pairs(rng: np.random.Generator, slots: int):
+    """Yield ``slots`` uniform pairs in turn: what ``rng.random(2)`` draws
+    call by call, made ``_SLOT_BLOCK`` pairs at a time."""
+    for start in range(0, slots, _SLOT_BLOCK):
+        yield from rng.random((min(_SLOT_BLOCK, slots - start), 2)).tolist()
+
+
 def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     """Sequential loop: mask-aware epsilon-greedy action, environment step,
     replay insertion, batched targets, one SGD step.
 
     The targets come from the live network before this slot's update: its
     forward of the sampled s' rows, and the best reference-state value it
-    gave at the end of the previous slot. The loop computes what
-    ``batch_targets`` and ``gradient_step`` would, in the same order, in
-    reused arrays and without their per-call checks. It forwards the s'
-    and s rows of a batch as one stacked batch, which rounds each row as
-    the separate forwards do.
+    gave at the end of the previous slot. That end-of-slot forward is one
+    two-row product, the reference state over the next state, so it also
+    gives the next slot's greedy Q-values. The loop takes the step
+    ``gradient_step`` would on these targets, in reused arrays and without
+    its per-call checks. It forwards the s' and s rows of a batch as one
+    stacked batch, which rounds each row as the separate forwards do.
     """
-    rng = np.random.default_rng(hyper.seed)
+    init_rng, explore_rng, channel_rng, replay_rng = learner_streams(hyper.seed)
     num_actions = config.num_sources + 1
     sizes = [4 * config.num_sources, *_HIDDEN_SIZES, num_actions]
-    net = QNetwork.create(sizes, rng)
+    net = QNetwork.create(sizes, init_rng)
     memory = ReplayMemory(_REPLAY_CAPACITY, sizes[0], num_actions)
     denoms = _encoding_denominators(config)
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def observe(state: State) -> tuple:
-        """One-row encoding, feasible-action mask and list, and stage cost
-        of a state."""
+        """Encoding, feasible-action mask and list, and stage cost of a state."""
         feas = env.feasible_actions(config, state)
         mask = np.zeros(num_actions, dtype=bool)
         mask[feas] = True
-        enc = np.asarray(state, dtype=float)[None, :] / denoms
+        enc = np.asarray(state, dtype=float) / denoms
         return enc, mask, feas, env.stage_cost(config, state)
 
     # reference state: empty batteries, fresh information, lowest levels
     enc_ref, _, ref_feas, _ = observe((0,) * sizes[0])
 
-    gain_trace = np.empty(hyper.total_slots)
-    eps_trace = np.empty(hyper.total_slots)
-    loss_trace = np.full(hyper.total_slots, np.nan)
+    total = hyper.total_slots
+    gain_trace = np.empty(total)
+    eps_trace = np.empty(total)
+    loss_trace = np.full(total, np.nan)
 
     # batch workspace: the sampled s' rows stacked over their s rows
     B = _BATCH_SIZE
     acts = _activations(sizes, 2 * B)
-    acts_next = [a[:B] for a in acts]
     acts_s = [a[B:] for a in acts]
-    deltas = _activations(sizes[1:], B)
+    # where the replayed encodings go: the input columns before the ones column
+    enc_next_in, enc_s_in = acts[0][:B, :-1], acts[0][B:, :-1]
+    q_next = acts[-1][:B]
+    deltas = [np.empty((B, width)) for width in sizes[1:]]
     grads = np.empty_like(net.params)
-    grads_w, grads_b = net.layers(grads)
-    row_acts = [None, *_activations(sizes[1:], 1)]
-    ref_acts = [enc_ref, *_activations(sizes[1:], 1)]
+    grad_blocks = net.layers(grads)
+    # end-of-slot workspace: the reference state over the next state
+    ends = _activations(sizes, 2)
+    ends[0][0, :-1] = enc_ref
 
-    net._forward_into(ref_acts)
-    q_ref = ref_acts[-1][0].tolist()
-    ref_best = min(q_ref[a] for a in ref_feas)  # of the live network
     state = env.initial_state(config)
     enc_s, _, feas, cost = observe(state)
-    random, integers = rng.random, rng.integers
-    for start, stop, eps in epsilon_segments(hyper.eps0, hyper.total_slots):
+    ends[0][1, :-1] = enc_s
+    net._forward_into(ends)
+    q_ref, q_s = ends[-1].tolist()
+    ref_best = min(q_ref[a] for a in ref_feas)  # of the live network
+    levels = env._level_blocks(config, channel_rng, total)
+    replay = _replay_indices(replay_rng, B - 1, total)
+    # epsilon 0 draws no pair, and no coin of 1 falls below it
+    pairs = _uniform_pairs(explore_rng, total) if hyper.eps0 > 0 else itertools.repeat((1.0, 1.0))
+    for start, stop, eps in epsilon_segments(hyper.eps0, total):
         eps_trace[start:stop] = eps
-        for k in range(start, stop):
-            if random() < eps:
-                action = feas[integers(len(feas))]
+        for k, drawn, (coin, pick) in zip(range(start, stop), levels, pairs):
+            if coin < eps:
+                action = explored(feas, pick)
             else:
-                row_acts[0] = enc_s
-                net._forward_into(row_acts)
-                q = row_acts[-1][0].tolist()
-                action = min(feas, key=q.__getitem__)  # ties to the lowest action
-            state = env.step(config, state, action, env.draw_levels(config, rng))
+                action = min(feas, key=q_s.__getitem__)  # ties to the lowest action
+            state = env.step(config, state, action, drawn)
             enc_next, mask_next, feas_next, cost_next = observe(state)
             memory.push(enc_s, action, cost, enc_next, mask_next)
 
             if memory.size >= B:
-                idx = memory.sample(B, rng)
-                memory.enc_next.take(idx, axis=0, out=acts_next[0])
-                memory.enc_s.take(idx, axis=0, out=acts_s[0])
+                idx = next(replay)
+                memory.enc_next.take(idx, axis=0, out=enc_next_in)
+                memory.enc_s.take(idx, axis=0, out=enc_s_in)
                 net._forward_into(acts)
                 targets = _relative_targets(
-                    memory.costs[idx], acts_next[-1], memory.mask_next[idx], ref_best
+                    memory.costs.take(idx), q_next, memory.mask_next.take(idx, axis=0), ref_best
                 )
                 loss = _backward(
-                    net, acts_s, deltas, memory.actions[idx], targets, grads_w, grads_b
+                    net, acts_s, deltas, memory.actions.take(idx), targets, grad_blocks
                 )
                 _update(net, grads, _LEARNING_RATE, loss)
                 loss_trace[k] = loss
 
-            net._forward_into(ref_acts)
-            q_ref = ref_acts[-1][0].tolist()
+            ends[0][1, :-1] = enc_next
+            net._forward_into(ends)
+            q_ref, q_s = ends[-1].tolist()
             ref_best = gain_trace[k] = min(q_ref[a] for a in ref_feas)
             if max(map(abs, q_ref)) > _DIVERGENCE_LIMIT:
                 raise FloatingPointError(

@@ -247,8 +247,8 @@ def draw_levels(config: SystemConfig, rng: np.random.Generator) -> Levels:
     return _as_levels(config, [sample_level(q, rng) - 1 for q in _drawn_quantizers(config)])
 
 
-# slots of channel levels a rollout draws per numpy call
-_DRAW_BLOCK = 4096
+# slots of channel levels a rollout or DQN training draws per numpy call
+_DRAW_BLOCK = 1024
 
 
 def _level_blocks(config: SystemConfig, rng: np.random.Generator, slots: int):

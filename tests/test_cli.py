@@ -126,14 +126,22 @@ def test_train_tabular_trace_deterministic(tmp_path, config_path, capsys):
 
 def test_train_epsilon_zero_explores_in_no_slot(tmp_path, config_path, monkeypatch, capsys):
     """``--epsilon 0`` turns exploration off in every slot: the DQN trace's
-    epsilon column reads 0, and tabular training tosses no exploration coin.
-    Without ``--epsilon`` both learners start from 0.3, as ``--epsilon 0.3`` does."""
+    epsilon column reads 0, and neither learner draws an exploration pair.
+    Without ``--epsilon`` both learners start from 0.3, as ``--epsilon 0.3``
+    does, and draw one pair (coin, pick) per slot."""
     default_rng = np.random.default_rng
     coins = []
 
     def counting_rng(seed):
+        # exploration is the only purpose that draws uniforms with ``random``
         rng = default_rng(seed)
-        return SimpleNamespace(random=lambda: coins.append(1) or rng.random(), integers=rng.integers)
+
+        def random(size=None):
+            values = rng.random(size)
+            coins.append(np.size(values))
+            return values
+
+        return SimpleNamespace(random=random, integers=rng.integers, uniform=rng.uniform)
 
     args = ["train", "--config", str(config_path), "--slots", "50", "--seed", "1"]
     runs = {"default": [], "0.3": ["--epsilon", "0.3"], "0": ["--epsilon", "0"]}
@@ -142,15 +150,14 @@ def test_train_epsilon_zero_explores_in_no_slot(tmp_path, config_path, monkeypat
         for label, flag in runs.items():
             coins.clear()
             with monkeypatch.context() as patch:
-                if agent == "tabular":
-                    patch.setattr(np.random, "default_rng", counting_rng)
+                patch.setattr(np.random, "default_rng", counting_rng)
                 out = tmp_path / agent / label
                 assert main([*args, "--agent", agent, *flag, "--out", str(out)]) == 0
-            tossed[agent, label] = len(coins)
+            tossed[agent, label] = sum(coins)
         for name in ("trace.csv", "policy.csv"):
             default, explicit = (tmp_path / agent / label / name for label in ("default", "0.3"))
             assert default.read_bytes() == explicit.read_bytes()
-    assert [tossed["tabular", label] for label in runs] == [50, 50, 0]
+        assert [tossed[agent, label] for label in runs] == [2 * 50, 2 * 50, 0]
     for label, expected in [("default", "0.3"), ("0", "0.0")]:
         with open(tmp_path / "dqn" / label / "trace.csv", newline="") as fh:
             assert [row["epsilon"] for row in csv.DictReader(fh)] == [expected] * 50
@@ -244,6 +251,33 @@ def test_train_tabular_refuses_state_space_above_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "enumerable state space" in err and "1000000000000 states" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind", [("verify", "npz"), ("verify", "csv"), ("simulate", "csv")]
+)
+def test_artifact_on_state_space_above_limit_exits_2(tmp_path, config_path, capsys, command, kind):
+    """A policy file or checkpoint whose ``--config`` cannot be enumerated
+    is one error line and exit status 2, not a traceback and ``verify``'s
+    status 1 of binding violations."""
+    huge = _huge_config(tmp_path)
+    if kind == "npz":
+        artifact = tmp_path / "checkpoint.npz"
+        QNetwork.create([12, 16, 4], np.random.default_rng(0)).save(artifact)
+    else:
+        assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "solved")]) == 0
+        artifact = tmp_path / "solved" / "policy.csv"
+    capsys.readouterr()
+    if command == "verify":
+        argv = ["verify", str(artifact), "--config", str(huge)]
+    else:
+        argv = ["simulate", "--config", str(huge), "--policy", str(artifact)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"aoi-rl {command}: error: cannot use {artifact} with {huge}: ")
+    assert "1000000000000 states" in line
 
 
 def test_sweep_single_value_matches_solve(tmp_path, config_path, capsys):
@@ -359,6 +393,23 @@ def test_trace_writer_matches_csv_writer(tmp_path):
     assert path.read_bytes() == _csv_writer_bytes(["slot", "a", "b"], values, special)
     _write_trace_csv(path, ["slot", "a"], values[:0])
     assert path.read_bytes() == b"slot,a\r\n"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 5, 1024])
+def test_trace_writer_formats_repeats_across_chunks(tmp_path, monkeypatch, chunk_rows):
+    """Values that repeat within and across chunks, zeros of both signs,
+    nans of two payloads and a bit pattern shared with no other value
+    format as ``repr`` does, at every chunk size."""
+    other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+    pool = [0.0, -0.0, np.nan, other_nan, np.inf, -np.inf, 5e-324, 1e22, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(0)
+    a = np.array(pool)[rng.integers(len(pool), size=23)]
+    b = np.repeat([1e22, -0.0, 0.0], [7, 9, 7])
+    monkeypatch.setattr(cli, "_TRACE_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, ["slot", "a", "b"], a, b)
+    assert path.read_bytes() == _csv_writer_bytes(["slot", "a", "b"], a, b)
+    assert b"-0.0" in path.read_bytes() and b"1e+22" in path.read_bytes()
 
 
 def test_train_traces_match_csv_writer(tmp_path, config_path, capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_rl import dqn, mdp, tabular
+from aoi_rl import dqn, env, mdp, tabular
 from aoi_rl.dqn import (
     DqnHyperparams,
     QNetwork,
@@ -435,50 +435,48 @@ class _ReferenceEnv:
 def _reference_train_dqn(config, hyper):
     """The training loop as it reads on the public per-call functions:
     targets from a copy of the network taken at the start of every slot,
-    ``batch_targets`` and ``forward`` with their checks, and fresh
-    encodings of every state."""
-    rng = np.random.default_rng(hyper.seed)
-    env = _ReferenceEnv(config, rng)
+    ``forward`` and ``gradient_step`` with their checks, fresh encodings
+    of every state, and every slot drawing from the learner's streams on
+    its own."""
+    init_rng, explore_rng, channel_rng, replay_rng = tabular.learner_streams(hyper.seed)
+    sim = _ReferenceEnv(config, channel_rng)
     num_actions = config.num_sources + 1
     sizes = [4 * config.num_sources, *dqn._HIDDEN_SIZES, num_actions]
-    net = QNetwork.create(sizes, rng)
+    net = QNetwork.create(sizes, init_rng)
     memory = ReplayMemory(dqn._REPLAY_CAPACITY, sizes[0], num_actions)
     enc_ref = np.zeros(sizes[0])
     ref_mask = np.zeros(num_actions, dtype=bool)
     ref_mask[0] = True
     for i in range(config.num_sources):
-        ref_mask[i + 1] = env.e_t[i][0] <= 0
+        ref_mask[i + 1] = sim.e_t[i][0] <= 0
     gain_trace = np.empty(hyper.total_slots)
     eps_trace = np.empty(hyper.total_slots)
     loss_trace = np.full(hyper.total_slots, np.nan)
+    # one two-row forward per slot end: the reference state over the next state
+    q_ref, q_s = net.forward(np.stack([enc_ref, sim.encode()]))
     for k in range(hyper.total_slots):
         snapshot = net.copy()
         eps = tabular.epsilon(hyper.eps0, k)
-        enc_s = env.encode()
-        mask = env.feasible_mask()
-        if rng.random() < eps:
+        enc_s = sim.encode()
+        mask = sim.feasible_mask()
+        coin, pick = explore_rng.random(2) if hyper.eps0 > 0 else (1.0, 1.0)
+        if coin < eps:
             feas = np.flatnonzero(mask)
-            action = int(feas[rng.integers(len(feas))])
+            action = int(feas[int(pick * len(feas))])
         else:
-            q = net.forward(enc_s)
-            action = int(np.argmin(np.where(mask, q, np.inf)))
-        cost = env.cost()
-        env.step(action)
-        memory.push(enc_s, action, cost, env.encode(), env.feasible_mask())
+            action = int(np.argmin(np.where(mask, q_s, np.inf)))
+        cost = sim.cost()
+        sim.step(action)
+        memory.push(enc_s, action, cost, sim.encode(), sim.feasible_mask())
         if memory.size >= dqn._BATCH_SIZE:
-            idx = memory.sample(dqn._BATCH_SIZE, rng)
-            targets = batch_targets(
-                snapshot,
-                memory.costs[idx],
-                memory.enc_next[idx],
-                memory.mask_next[idx],
-                enc_ref,
-                ref_mask,
-            )
+            idx = memory.sample(dqn._BATCH_SIZE, replay_rng)
+            q_next = snapshot.forward(memory.enc_next[idx])
+            best_next = np.where(memory.mask_next[idx], q_next, np.inf).min(axis=1)
+            targets = memory.costs[idx] + best_next - q_ref[ref_mask].min()
             loss_trace[k] = gradient_step(
                 net, memory.enc_s[idx], memory.actions[idx], targets, dqn._LEARNING_RATE
             )
-        q_ref = net.forward(enc_ref)
+        q_ref, q_s = net.forward(np.stack([enc_ref, sim.encode()]))
         gain_trace[k] = q_ref[ref_mask].min()
         eps_trace[k] = eps
     return net, gain_trace, eps_trace, loss_trace
@@ -527,6 +525,26 @@ def test_training_matches_per_call_reference(monkeypatch, config, hyper, patches
     assert np.array_equal(result.epsilon_trace, eps_trace)
     assert np.array_equal(result.loss_trace, loss_trace, equal_nan=True)
     assert np.isfinite(loss_trace[dqn._BATCH_SIZE - 1:]).all()
+
+
+@pytest.mark.parametrize("eps0", [DqnHyperparams.eps0, 0.0])
+def test_training_does_not_depend_on_the_block_sizes(monkeypatch, eps0):
+    """Replay indices, exploration pairs and channel levels drawn 1 or 7
+    slots at a time give the network and traces of the default blocks,
+    across a ring wrap."""
+    config = make_config(levels=2)
+    hyper = DqnHyperparams(total_slots=300, seed=8, eps0=eps0)
+    monkeypatch.setattr(dqn, "_REPLAY_CAPACITY", 100)
+    monkeypatch.setattr(dqn, "_HIDDEN_SIZES", (16,))
+    runs = []
+    for slot_block, draw_block in [(dqn._SLOT_BLOCK, env._DRAW_BLOCK), (1, 7), (7, 1)]:
+        monkeypatch.setattr(dqn, "_SLOT_BLOCK", slot_block)
+        monkeypatch.setattr(env, "_DRAW_BLOCK", draw_block)
+        runs.append(train_dqn(config, hyper))
+    for run in runs[1:]:
+        assert np.array_equal(run.network.params, runs[0].network.params)
+        assert np.array_equal(run.gain_trace, runs[0].gain_trace)
+        assert np.array_equal(run.loss_trace, runs[0].loss_trace, equal_nan=True)
 
 
 def test_evicting_memos_change_nothing(monkeypatch, small_config):

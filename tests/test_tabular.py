@@ -108,9 +108,10 @@ def test_trace_length_and_finiteness(small_config):
 
 def _reference_train_tabular(config, total_slots, seed, eps0):
     """The slot loop as it reads on the public per-call functions:
-    ``epsilon_greedy`` then ``q_update``, one numpy call at a time."""
+    ``epsilon_greedy`` then ``q_update``, one numpy call at a time, each
+    slot drawing from the learner's streams on its own."""
     kernel = build_kernel(config, enumerate_states(config, "age"))
-    rng = np.random.default_rng(seed)
+    _, explore_rng, channel_rng, _ = tabular.learner_streams(seed)
     qt = QTable(
         q=np.zeros((kernel.total_states, kernel.num_actions)),
         feasible=kernel.feasible,
@@ -127,8 +128,8 @@ def _reference_train_tabular(config, total_slots, seed, eps0):
         state_visits[s] += 1
         if k == pin_slot:
             qt.reference_state = int(state_visits.argmax())
-        a = epsilon_greedy(qt, s, epsilon(eps0, k), rng)
-        s_next = int(succ[s, a] + offsets[rng.integers(n_combos)])
+        a = epsilon_greedy(qt, s, epsilon(eps0, k), explore_rng)
+        s_next = int(succ[s, a] + offsets[channel_rng.integers(n_combos)])
         q_update(qt, s, a, float(kernel.cost[s]), s_next, step_size(k))
         trace[k] = qt.best_value(qt.reference_state)
         s = s_next
@@ -165,3 +166,35 @@ def test_training_matches_per_call_reference(monkeypatch, config, seed, eps0, sl
     assert np.array_equal(qt.q, ref.q)
     assert qt.reference_state == ref.reference_state
     assert np.array_equal(trace, ref_trace)
+
+
+@pytest.mark.parametrize("eps0", [EPS0, 0.0])
+def test_training_does_not_depend_on_the_slot_block(monkeypatch, eps0):
+    """Blocks of 1 slot and of 37 slots (cut by the epsilon steps and the
+    reference pin) draw the same values as the default blocks."""
+    config = make_config(levels=3)
+    monkeypatch.setattr(tabular, "_EPS_INTERVAL", 260)
+    runs = []
+    for block in (tabular._SLOT_BLOCK, 1, 37):
+        monkeypatch.setattr(tabular, "_SLOT_BLOCK", block)
+        runs.append(train_tabular(config, 3000, seed=6, eps0=eps0))
+    for qt, trace in runs[1:]:
+        assert np.array_equal(qt.q, runs[0][0].q)
+        assert qt.reference_state == runs[0][0].reference_state
+        assert np.array_equal(trace, runs[0][1])
+
+
+def test_learner_streams_are_spawned_per_purpose():
+    streams = tabular.learner_streams(3)
+    children = np.random.SeedSequence(3).spawn(4)
+    assert len(streams) == 4
+    for rng, child in zip(streams, children):
+        assert rng.random(3).tolist() == np.random.default_rng(child).random(3).tolist()
+    assert len({rng.random() for rng in streams}) == 4
+
+
+def test_explored_pick_stays_in_range():
+    below_one = np.nextafter(1.0, 0.0)
+    for n in (1, 2, 3, 5, 7, 1000, 2**40 + 1):
+        assert tabular.explored(range(n), below_one) == n - 1
+        assert tabular.explored(range(n), 0.0) == 0
