@@ -8,7 +8,6 @@ versions). Plotting is intentionally left to external tools.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -30,16 +29,16 @@ from .dqn import (
     train_dqn,
 )
 from .env import SystemConfig, load_config, simulate_policy, with_battery_capacity, with_packet_bits
-from .errors import ContractError, InvalidConfigError, SizeLimitError
+from .errors import ContractError, InfeasibleActionError, InvalidConfigError, SizeLimitError
 from .mdp import (
     build_kernel,
-    check_policy_feasible,
     enumerate_states,
     evaluate_policy,
     export_policy_csv,
     load_policy_csv,
     policy_csv_objective,
     solve_rvia,
+    write_csv,
 )
 from .structure import (
     check_threshold_aoi,
@@ -89,6 +88,19 @@ def _error(args, message: str) -> int:
     return 2
 
 
+def _make_out(args, out: Path, file: bool = False) -> int | None:
+    """Create the output directory ``out``, or the output file ``out`` and
+    its parents, before the command's work starts; exit status 2 with one
+    error line if that fails."""
+    try:
+        (out.parent if file else out).mkdir(parents=True, exist_ok=True)
+        if file:
+            open(out, "a").close()
+    except OSError as exc:
+        return _error(args, f"cannot write to {out}: {exc}")
+    return None
+
+
 # what enumerating a state space the config cannot take raises
 _UNSOLVABLE = (ContractError, SizeLimitError)
 
@@ -98,45 +110,20 @@ def cmd_solve(args, config: SystemConfig) -> int:
         indexer = enumerate_states(config, args.objective)
     except _UNSOLVABLE as exc:
         return _error(args, f"cannot solve {args.config}: {exc}")
-    vt, pt = solve_rvia(build_kernel(config, indexer))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if status := _make_out(args, out):
+        return status
+    vt, pt = solve_rvia(build_kernel(config, indexer))
     export_policy_csv(out / "policy.csv", indexer, pt.actions, vt.values)
     _write_manifest(out, args.config, args, solver=vt.stats)
     print(f"gain: {vt.gain:.9g}")
     return 0
 
 
-# trace rows formatted per chunk, which bounds the memory the strings take
-_TRACE_CHUNK_ROWS = 1024
-
-
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr(float(v))`` of each value, formatting each distinct bit
-    pattern once. A dict finds the repeats: ``np.unique`` would sort, and
-    the first sort in a process maps in about 0.4 MB of numpy's sort code."""
-    texts: dict[int, str] = {}
-    return [
-        texts[bits] if bits in texts else texts.setdefault(bits, repr(value))
-        for bits, value in zip(values.view(np.int64).tolist(), values.tolist())
-    ]
-
-
 def _write_trace_csv(path: Path, header: list[str], *columns: np.ndarray) -> None:
-    """Slot number plus one ``repr(float)`` field per column and slot.
-
-    The bytes are those of a ``csv.writer`` rendering (CRLF line ends; no
-    field needs quoting), formatted ``_TRACE_CHUNK_ROWS`` rows at a time.
-    """
-    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
-    row = ",".join(["{}"] * (1 + len(columns))) + "\r\n"
-    slots = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, slots, _TRACE_CHUNK_ROWS):
-            chunk = range(start, min(slots, start + _TRACE_CHUNK_ROWS))
-            fields = [_float_reprs(c[chunk.start : chunk.stop]) for c in columns]
-            fh.writelines(map(row.format, chunk, *fields))
+    """Slot number plus one ``repr(float)`` field per column and slot,
+    written by ``write_csv``."""
+    write_csv(path, header, len(columns[0]), range, *columns)
 
 
 def cmd_train(args, config: SystemConfig) -> int:
@@ -148,7 +135,8 @@ def cmd_train(args, config: SystemConfig) -> int:
                 args, f"argument --agent: the tabular agent needs an enumerable state space; {exc}"
             )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if status := _make_out(args, out):
+        return status
     skipped = {}
     started = time.perf_counter()
     if args.agent == "tabular":
@@ -193,15 +181,21 @@ def cmd_train(args, config: SystemConfig) -> int:
     return 0
 
 
-def _refuse_artifact(args, artifact: Path, exc: Exception) -> int:
-    """Exit status 2 for a policy file or checkpoint that cannot be read
-    for ``--config``, with one line naming both."""
-    return _error(args, f"cannot use {artifact} with {args.config}: {exc}")
-
-
 # what reading a policy file or checkpoint that does not fit the config
-# raises, a config whose state space cannot be enumerated included
-_UNFIT_ARTIFACT = (OSError, ValueError, ContractError, SizeLimitError)
+# raises, a config whose state space cannot be enumerated and a policy the
+# batteries cannot pay for included
+_UNFIT_ARTIFACT = (OSError, ValueError, ContractError, SizeLimitError, InfeasibleActionError)
+
+
+def _policy_file(config: SystemConfig, artifact: Path, objective: str | None = None):
+    """``(indexer, policy, values)`` of a policy file: the state space of
+    ``objective`` (by default the one the file's header names), then
+    ``load_policy_csv``, then the kernel's check that every transmission is
+    paid for."""
+    indexer = enumerate_states(config, objective or policy_csv_objective(artifact, config))
+    policy, values = load_policy_csv(artifact, indexer)
+    build_kernel(config, indexer).policy_grid(policy)
+    return indexer, policy, values
 
 
 def cmd_verify(args, config: SystemConfig) -> int:
@@ -212,11 +206,11 @@ def cmd_verify(args, config: SystemConfig) -> int:
             policy = tabulate_policy(QNetwork.load(artifact), build_kernel(config, indexer))
             values = None
         else:
-            indexer = enumerate_states(config, policy_csv_objective(artifact, config))
-            policy, values = load_policy_csv(artifact, indexer)
-            check_policy_feasible(config, indexer, policy)
+            indexer, policy, values = _policy_file(config, artifact)
     except _UNFIT_ARTIFACT as exc:
-        return _refuse_artifact(args, artifact, exc)
+        return _error(args, f"cannot use {artifact} with {args.config}: {exc}")
+    if args.out and (status := _make_out(args, Path(args.out), file=True)):
+        return status
     # the exact solver writes values and the learners do not
     learned = values is None
     violations = []
@@ -263,22 +257,20 @@ def cmd_sweep(args, config: SystemConfig) -> int:
     if args.agent != "exact":
         # the manifest records the seed the learners use; an exact sweep has none
         args.seed = _SEED if args.seed is None else args.seed
-    points = [_sweep_config(config, args, v) for v in args.values]
-    if args.agent != "dqn":
-        # the exact and tabular agents need every point's state space enumerable
-        for value, cfg in zip(args.values, points):
-            try:
+    points = []
+    for value in args.values:
+        try:
+            points.append(cfg := _sweep_config(config, args, value))
+            if args.agent != "dqn":
+                # the exact and tabular agents need every point's state space enumerable
                 enumerate_states(cfg, args.objective)
-            except _UNSOLVABLE as exc:
-                return _error(args, f"cannot sweep {args.vary}={value:g} with the {args.agent} agent: {exc}")
-    gains, stats = zip(*(_sweep_point(cfg, args) for cfg in points))
+        except (InvalidConfigError, *_UNSOLVABLE) as exc:
+            return _error(args, f"cannot sweep {args.vary}={value:g} with the {args.agent} agent: {exc}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([args.vary, "gain"])
-        for v, g in zip(args.values, gains):
-            writer.writerow([v, repr(float(g))])
+    if status := _make_out(args, out):
+        return status
+    gains, stats = zip(*(_sweep_point(cfg, args) for cfg in points))
+    write_csv(out / "sweep.csv", [args.vary, "gain"], len(gains), args.values, gains)
     _write_manifest(out, args.config, args, solver=list(stats) if args.agent == "exact" else None)
     for v, g in zip(args.values, gains):
         print(f"{args.vary}={v:g}: gain {g:.6g}")
@@ -302,12 +294,9 @@ def cmd_simulate(args, config: SystemConfig) -> int:
         if artifact.suffix == ".npz":
             policy = greedy_policy_fn(QNetwork.load(artifact), config)
         else:
-            indexer = enumerate_states(config, "age")
-            table, _ = load_policy_csv(artifact, indexer)
-            check_policy_feasible(config, indexer, table)
-            policy = _table_policy(indexer, table)
+            policy = _table_policy(*_policy_file(config, artifact, "age")[:2])
     except _UNFIT_ARTIFACT as exc:
-        return _refuse_artifact(args, artifact, exc)
+        return _error(args, f"cannot use {artifact} with {args.config}: {exc}")
     sim = simulate_policy(config, policy, args.slots, args.seed)
     print(f"average weighted AoI: {sim.avg_weighted_aoi:.6g}")
     if sim.avg_throughput_bits is not None:

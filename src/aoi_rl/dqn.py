@@ -441,7 +441,7 @@ def tabulate_policy(net: QNetwork, kernel: TransitionKernel) -> np.ndarray:
     """Greedy policy of the network over a fully enumerated state space.
 
     States are forwarded in index order, as many at a time as the policy
-    CSV converts (``mdp._CSV_CHUNK_ROWS``), so the memory beyond the
+    CSV loader parses (``mdp._CSV_CHUNK_ROWS``), so the memory beyond the
     returned policy stays bounded on large spaces.
     """
     indexer = kernel.indexer

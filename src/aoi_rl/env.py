@@ -393,19 +393,21 @@ def with_battery_capacity(config: SystemConfig, joules: float) -> SystemConfig:
 
     The energy quantum (capacity / quanta count) is kept fixed and the quanta
     count rescaled, so a larger battery means more storage at the same
-    granularity rather than a coarser grid.
+    granularity rather than a coarser grid. A capacity that is not a whole
+    number (at least 1) of some source's quanta, within 1e-9 relative,
+    raises ``InvalidConfigError``.
     """
-    sources = tuple(
-        dataclasses.replace(
-            s,
-            battery_capacity_joules=joules,
-            battery_quanta=max(
-                1, round(joules * s.battery_quanta / s.battery_capacity_joules)
-            ),
-        )
-        for s in config.sources
-    )
-    return dataclasses.replace(config, sources=sources)
+    sources = []
+    for i, s in enumerate(config.sources, start=1):
+        quanta = joules * s.battery_quanta / s.battery_capacity_joules
+        whole = round(quanta)
+        if whole < 1 or abs(quanta - whole) > 1e-9 * quanta:
+            raise InvalidConfigError(
+                f"battery capacity {joules * 1e3:g} mJ is not a whole number of source {i}'s "
+                f"{s.battery_capacity_joules / s.battery_quanta * 1e3:g} mJ energy quanta"
+            )
+        sources.append(dataclasses.replace(s, battery_capacity_joules=joules, battery_quanta=whole))
+    return dataclasses.replace(config, sources=tuple(sources))
 
 
 def with_packet_bits(config: SystemConfig, bits: float) -> SystemConfig:

@@ -299,9 +299,40 @@ class TransitionKernel:
             v = np.diagonal(v, axis1=g_ax, axis2=g_ax + 1)
         return v.mean(axis=tuple(range(v.ndim - self.config.num_sources, v.ndim))).ravel()
 
+    def policy_grid(self, policy: np.ndarray) -> np.ndarray:
+        """``policy`` on the state grid, once ``_checked_actions`` passes it
+        and no state transmits where ``transmit_ok`` says its battery cannot
+        pay the uplink cost; ``InfeasibleActionError`` names how many states
+        do and the first of them as the policy file writes it."""
+        indexer = self.indexer
+        grid = _checked_actions(policy, self.total_states, self.num_actions).reshape(indexer.dims)
+        unpaid = np.zeros(indexer.dims, dtype=bool)
+        for j, ok in enumerate(self.transmit_ok, start=1):
+            unpaid |= (grid == j) & ~ok
+        if count := int(np.count_nonzero(unpaid)):
+            s = int(unpaid.argmax())
+            state = np.add(indexer.index_to_state(s), _display_offsets(indexer))
+            first = ", ".join(map("{}={}".format, indexer.var_names, state))
+            raise InfeasibleActionError(
+                f"{count} state(s) take a transmission their battery cannot pay for; "
+                f"the first, ({first}), takes {action_name(int(grid.flat[s]))}"
+            )
+        return grid
+
 
 def build_kernel(config: SystemConfig, indexer: StateIndexer) -> TransitionKernel:
     return TransitionKernel(config, indexer)
+
+
+def _checked_actions(policy, n: int, num_actions: int) -> np.ndarray:
+    """``policy`` as an int64 array, refused with ``ContractError`` unless
+    it holds one action in 0..num_actions-1 for each of the ``n`` states."""
+    policy = np.asarray(policy, dtype=np.int64)
+    if policy.shape != (n,):
+        raise ContractError(f"policy has shape {policy.shape}, expected ({n},)")
+    if not 0 <= policy.min() <= policy.max() < num_actions:
+        raise ContractError(f"policy actions must lie in 0..{num_actions - 1}")
+    return policy
 
 
 @dataclass
@@ -314,8 +345,6 @@ class ValueTable:
 @dataclass
 class PolicyTable:
     actions: np.ndarray
-    gain: float
-    stats: Optional[dict] = None
 
 
 def solve_rvia(kernel: TransitionKernel) -> tuple[ValueTable, PolicyTable]:
@@ -338,9 +367,9 @@ def solve_rvia(kernel: TransitionKernel) -> tuple[ValueTable, PolicyTable]:
     relative to state 0: the returned ``values`` are the final sweep's
     backup ``tv - tv[0]``, the one the policy is extracted from.
 
-    Both returned tables carry ``stats``: the sweep count, the final
-    ``[lo, hi]`` bracket, and the number of states whose best two feasible
-    actions lie within ``_TOLERANCE * max(1, |gain|)`` of each other.
+    The value table carries ``stats``: the sweep count, the final ``[lo,
+    hi]`` bracket, and the number of states whose best two feasible actions
+    lie within ``_TOLERANCE * max(1, |gain|)`` of each other.
     """
     minimize = kernel.objective == "age"
     best_of = np.minimum if minimize else np.maximum
@@ -368,9 +397,7 @@ def solve_rvia(kernel: TransitionKernel) -> tuple[ValueTable, PolicyTable]:
             # tv is spent: _greedy reuses it as a buffer
             actions, near_ties = _greedy(q, minimize, _TOLERANCE * max(1.0, abs(gain)), tv_grid)
             stats = {"sweeps": sweep, "bracket": [float(lo), float(hi)], "near_ties": near_ties}
-            return ValueTable(values=values, gain=gain, stats=stats), PolicyTable(
-                actions=actions, gain=gain, stats=stats
-            )
+            return ValueTable(values=values, gain=gain, stats=stats), PolicyTable(actions)
     raise ConvergenceError(
         f"no convergence after {_MAX_SWEEPS} sweeps; current span {hi - lo:.3e}"
     )
@@ -555,23 +582,10 @@ def induced_chain(kernel: TransitionKernel, policy: np.ndarray):
     moves to under the policy. Rows are summed a chunk of cores at a time
     into a dense (chunk, cores) buffer of about ``_CHAIN_CHUNK_CELLS``
     cells; channel probabilities are positive, so its nonzero cells are the
-    pairs that occur.
+    pairs that occur. ``kernel.policy_grid`` checks the policy first.
     """
-    policy = np.asarray(policy, dtype=np.int64)
-    n = kernel.total_states
-    if policy.shape != (n,):
-        raise ContractError(f"policy has shape {policy.shape}, expected ({n},)")
-    if not 0 <= policy.min() <= policy.max() < kernel.num_actions:
-        raise ContractError(f"policy actions must lie in 0..{kernel.num_actions - 1}")
-    grid = policy.reshape(kernel.indexer.dims)
+    grid = kernel.policy_grid(policy)
     succ = _per_state(grid, kernel.succ_tables)
-    infeasible = np.flatnonzero(succ < 0)
-    if len(infeasible):
-        s = int(infeasible[0])
-        raise InfeasibleActionError(
-            f"policy takes {action_name(int(policy[s]))} in state "
-            f"{kernel.indexer.index_to_state(s)} where it is infeasible"
-        )
     value = _per_state(grid, kernel.stage_tables)
     core = len(kernel.core_base)
     probs = kernel.chan_probs
@@ -609,50 +623,62 @@ def _display_offsets(indexer: StateIndexer) -> list[int]:
     return [0 if name.startswith("b_") else 1 for name in indexer.var_names]
 
 
-
-# rows of a policy file converted or parsed at a time
+# rows of a policy file parsed at a time
 _CSV_CHUNK_ROWS = 1 << 16
+# rows of a CSV file formatted at a time, which bounds the memory the strings take
+_CSV_WRITE_ROWS = 1024
 
 
-def _scalars(array: np.ndarray):
-    """The elements of a flat array as Python scalars, converted a chunk at
-    a time."""
-    return itertools.chain.from_iterable(
-        array[i : i + _CSV_CHUNK_ROWS].tolist() for i in range(0, len(array), _CSV_CHUNK_ROWS)
-    )
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of each value, formatting each distinct bit
+    pattern once. A dict finds the repeats: ``np.unique`` would sort, and
+    the first sort in a process maps in about 0.4 MB of numpy's sort code."""
+    texts: dict[int, str] = {}
+    return [
+        texts[bits] if bits in texts else texts.setdefault(bits, repr(value))
+        for bits, value in zip(values.view(np.int64).tolist(), values.tolist())
+    ]
+
+
+def write_csv(path, header: list[str], rows: int, *columns) -> None:
+    """Write ``header`` and ``rows`` rows with the bytes of a ``csv.writer``
+    rendering (CRLF line ends; no field needs quoting), ``_CSV_WRITE_ROWS``
+    rows at a time. A column is either a function of a chunk's row range
+    ``(start, stop)`` that gives its field texts for those rows, or values
+    written as ``repr(float(v))``."""
+    columns = [c if callable(c) else np.asarray(c, dtype=float) for c in columns]
+    line = ",".join(["{}"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, _CSV_WRITE_ROWS):
+            stop = min(rows, start + _CSV_WRITE_ROWS)
+            fields = [c(start, stop) if callable(c) else _float_reprs(c[start:stop]) for c in columns]
+            fh.writelines(map(line.format, *fields))
 
 
 def export_policy_csv(
-    path,
-    indexer: StateIndexer,
-    policy: np.ndarray,
-    values: Optional[np.ndarray] = None,
+    path, indexer: StateIndexer, policy: np.ndarray, values: Optional[np.ndarray] = None
 ) -> None:
-    """Columns: state variables (AoI and levels 1-based), action, value.
-
-    The bytes are those of a ``csv.writer`` rendering (CRLF line ends; no
-    field needs quoting). Rows run in state-index order, which is the
+    """Columns: state variables (AoI and levels 1-based), action, value;
+    written by ``write_csv``. Rows run in state-index order, which is the
     row-major product of the variables' label columns.
     """
     n = indexer.total_states
-    policy = np.asarray(policy, dtype=np.int64)
-    if policy.shape != (n,) or (values is not None and np.shape(values) != (n,)):
-        raise ContractError(f"policy and values must have shape ({n},)")
+    policy = _checked_actions(policy, n, indexer.num_sources + 1)
+    if values is not None and np.shape(values) != (n,):
+        raise ContractError(f"values have shape {np.shape(values)}, expected ({n},)")
     names = [action_name(a) for a in range(indexer.num_sources + 1)]
-    if not 0 <= policy.min() <= policy.max() < len(names):
-        raise ContractError(f"policy actions must lie in 0..{len(names) - 1}")
     labels = [
         [str(v + off) for v in range(d)] for d, off in zip(indexer.dims, _display_offsets(indexer))
     ]
     states = map(",".join, itertools.product(*labels))
-    actions = map(names.__getitem__, _scalars(policy))
-    if values is None:
-        vals = itertools.repeat("")
-    else:
-        vals = map(repr, _scalars(np.asarray(values, dtype=float)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([*indexer.var_names, "action", "value"]) + "\r\n")
-        fh.writelines(map("{},{},{}\r\n".format, states, actions, vals))
+    empty = lambda start, stop: itertools.repeat("", stop - start)  # noqa: E731
+    write_csv(
+        path, [*indexer.var_names, "action", "value"], n,
+        lambda start, stop: itertools.islice(states, stop - start),
+        lambda start, stop: map(names.__getitem__, policy[start:stop].tolist()),
+        empty if values is None else values,
+    )
 
 
 def policy_csv_objective(path, config: SystemConfig) -> str:
@@ -720,25 +746,3 @@ def load_policy_csv(path, indexer: StateIndexer):
     if any_values and (bad := n - np.count_nonzero(np.isfinite(values))):
         raise ContractError(f"{bad} of the {n} policy values are empty or not finite")
     return policy, (values if any_values else None)
-
-
-def check_policy_feasible(config: SystemConfig, indexer: StateIndexer, policy: np.ndarray) -> None:
-    """Raise ``ContractError`` if ``policy`` transmits from a state whose
-    battery cannot pay the uplink cost, naming how many states do and the
-    first of them as the policy file writes it."""
-    vps = indexer.vars_per_source
-    axes = np.ogrid[tuple(slice(d) for d in indexer.dims)]  # open grid, one array per variable
-    actions = np.asarray(policy).reshape(indexer.dims)
-    infeasible = np.zeros(indexer.dims, dtype=bool)
-    for j, costs in enumerate(config.transmit_table):
-        battery, uplink = axes[vps * j], axes[vps * j + vps - 1]
-        infeasible |= (actions == j + 1) & (battery < np.take(costs, uplink))
-    count = int(np.count_nonzero(infeasible))
-    if count:
-        s = int(infeasible.argmax())
-        values = np.add(indexer.index_to_state(s), _display_offsets(indexer))
-        first = ", ".join(map("{}={}".format, indexer.var_names, values))
-        raise ContractError(
-            f"{count} state(s) take a transmission their battery cannot pay for; "
-            f"the first, ({first}), takes {action_name(int(policy[s]))}"
-        )

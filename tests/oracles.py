@@ -123,4 +123,4 @@ def brute_force_oracle(kernel):
         if best_gain is None or (g < best_gain if minimize else g > best_gain):
             best_gain = g
             best_policy = pol
-    return float(best_gain), PolicyTable(actions=best_policy, gain=float(best_gain))
+    return float(best_gain), PolicyTable(actions=best_policy)

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import aoi_rl
-from aoi_rl import cli
+from aoi_rl import cli, mdp
 from aoi_rl.cli import _write_trace_csv, main
 from aoi_rl.dqn import DqnHyperparams, QNetwork, train_dqn
 from aoi_rl.env import load_config, with_battery_capacity
@@ -75,11 +75,14 @@ def test_solve_writes_policy_and_manifest(tmp_path, config_path, capsys):
 def test_verify_exact_policy_passes(tmp_path, config_path, capsys):
     out = tmp_path / "solved"
     main(["solve", "--config", str(config_path), "--out", str(out)])
+    # verify creates the parent of its --out, as the other commands create theirs
+    report = tmp_path / "new" / "dir" / "v.csv"
     code = main(
-        ["verify", str(out / "policy.csv"), "--config", str(config_path)]
+        ["verify", str(out / "policy.csv"), "--config", str(config_path), "--out", str(report)]
     )
     assert code == 0
     assert "0 violation(s) (binding)" in capsys.readouterr().out
+    assert report.read_text() == "variable,state,compared_with,expected,found\n"
 
 
 def test_verify_flags_corrupted_policy(tmp_path, config_path, capsys):
@@ -316,10 +319,16 @@ def test_solve_and_exact_sweep_record_solver_stats(tmp_path, config_path, capsys
     capsys.readouterr()
 
     cfg = load_config(config_path)
-    expected = []
+    expected, gains = [], []
     for value in (0.3, 0.6):
         point = with_battery_capacity(cfg, value * 1e-3)  # mJ, as the CLI converts it
-        expected.append(solve_rvia(build_kernel(point, enumerate_states(point)))[0].stats)
+        vt, _ = solve_rvia(build_kernel(point, enumerate_states(point)))
+        expected.append(vt.stats)
+        gains.append(vt.gain)
+    # sweep.csv holds the bytes a csv.writer gives
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["battery_capacity", "gain"], *zip([0.3, 0.6], map(repr, gains))])
+    assert (tmp_path / "swept" / "sweep.csv").read_bytes() == buf.getvalue().encode()
     solved = json.loads((tmp_path / "solved" / "manifest.json").read_text())
     swept = json.loads((tmp_path / "swept" / "manifest.json").read_text())
     assert solved["solver"] == expected[0]
@@ -405,7 +414,7 @@ def test_trace_writer_formats_repeats_across_chunks(tmp_path, monkeypatch, chunk
     rng = np.random.default_rng(0)
     a = np.array(pool)[rng.integers(len(pool), size=23)]
     b = np.repeat([1e22, -0.0, 0.0], [7, 9, 7])
-    monkeypatch.setattr(cli, "_TRACE_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(mdp, "_CSV_WRITE_ROWS", chunk_rows)
     path = tmp_path / "trace.csv"
     _write_trace_csv(path, ["slot", "a", "b"], a, b)
     assert path.read_bytes() == _csv_writer_bytes(["slot", "a", "b"], a, b)
@@ -735,6 +744,71 @@ def test_unsolvable_state_space_exits_2_before_any_work(tmp_path, capsys, monkey
     [line] = captured.err.splitlines()
     assert line.startswith(f"aoi-rl {argv[0]}: error: {reason}")
     assert not out.exists()
+
+
+def _never_work(monkeypatch, *names):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, never)
+
+
+@pytest.mark.parametrize("agent", ["exact", "tabular", "dqn"])
+def test_sweep_refuses_a_capacity_off_the_quantum_grid(tmp_path, capsys, monkeypatch, agent):
+    """A swept capacity that is not a whole number of the config's energy
+    quanta is refused before any point is solved, and no output is
+    created: the sweep would otherwise run it on another quantum."""
+    _never_work(monkeypatch, "build_kernel", "solve_rvia", "train_tabular", "train_dqn")
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", "configs/learning_small.yaml", "--vary", "battery_capacity",
+            "--values", "0.3,0.25", "--agent", agent, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == (
+        f"aoi-rl sweep: error: cannot sweep battery_capacity=0.25 with the {agent} agent: "
+        "battery capacity 0.25 mJ is not a whole number of source 1's 0.1 mJ energy quanta"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [("solve", "existing-file"), ("solve", "under-file"), ("train", "under-file"),
+     ("train", "existing-file"), ("sweep", "existing-file"), ("verify", "under-file"),
+     ("verify", "existing-dir")],
+)
+def test_unusable_out_exits_2_before_any_work(tmp_path, config_path, capsys, monkeypatch, command, where):
+    """An output location that cannot be created is one error line and exit
+    status 2 before the command's work starts, not a traceback after it."""
+    main(["solve", "--config", str(config_path), "--out", str(tmp_path / "solved")])
+    capsys.readouterr()
+    blocker = tmp_path / "blocker"
+    if where == "existing-dir":
+        blocker.mkdir()
+        out = blocker
+    else:
+        blocker.write_text("a regular file\n")
+        out = blocker if where == "existing-file" else blocker / "out" / "v.csv"
+    work = ["solve_rvia", "train_tabular", "train_dqn", "check_value_monotone_age",
+            "check_threshold_aoi", "check_threshold_single_source", "export_violations_csv"]
+    # verify builds its kernel to check the policy file, before the work
+    _never_work(monkeypatch, *work, *([] if command == "verify" else ["build_kernel"]))
+    argv = {
+        "solve": ["solve"],
+        "train": ["train", "--agent", "tabular", "--slots", "10"],
+        "sweep": ["sweep", "--vary", "packet_bits", "--values", "12"],
+        "verify": ["verify", str(tmp_path / "solved" / "policy.csv")],
+    }[command]
+    assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"aoi-rl {command}: error: cannot write to {out}: ")
+    assert blocker.is_dir() == (where == "existing-dir")
 
 
 def test_dqn_sweep_runs_above_the_state_limit(tmp_path, capsys):

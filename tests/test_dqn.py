@@ -351,6 +351,14 @@ def test_training_loop_runs_the_gradient_guard(monkeypatch):
         train_dqn(load_config(CONFIGS / "learning_small.yaml"), DqnHyperparams(total_slots=200))
 
 
+def test_training_loop_stops_at_the_divergence_guard(monkeypatch):
+    """Q-values beyond ``_DIVERGENCE_LIMIT`` stop training with the slot
+    at which they were seen."""
+    monkeypatch.setattr(dqn, "_DIVERGENCE_LIMIT", 1e-3)
+    with pytest.raises(FloatingPointError, match=r"^Q-values diverged beyond 0\.001 at slot \d+$"):
+        train_dqn(load_config(CONFIGS / "learning_small.yaml"), DqnHyperparams(total_slots=200))
+
+
 # --- training loop --------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from aoi_rl.env import (
     with_packet_bits,
 )
 from aoi_rl.channel import sample_level
+from aoi_rl.cli import main
 from aoi_rl.errors import InfeasibleActionError, InvalidConfigError
 from aoi_rl.mdp import build_kernel, enumerate_states
 
@@ -297,6 +299,11 @@ def test_simulate_policy_validates_feasibility():
         simulate_policy(cfg, greedy_transmit, 100, seed=0)
 
 
+def test_simulate_policy_refuses_an_empty_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        simulate_policy(make_config(), lambda s: HARVEST, 0, seed=0)
+
+
 def test_simulate_records_trace_and_initial_state():
     cfg = make_config()
     _, trace = _simulate_traced(cfg, lambda s: HARVEST, 10, seed=0)
@@ -552,6 +559,64 @@ def test_config_refuses_values_of_the_wrong_type(key, value, where):
     (data if where == "top level" else data["sources"][0])[key] = value
     with pytest.raises(InvalidConfigError, match=f"{key}.*{where}"):
         config_from_dict(data)
+
+
+def _set_source(key, value):
+    return lambda data: data["sources"][0].update({key: value})
+
+
+_EFFICIENCY = r"harvest efficiency must be in \(0, 1\]"
+# a config value out of its range, and the refusal it gets
+_OUT_OF_RANGE = {
+    "battery_quanta": (_set_source("battery_quanta", 0), "battery_quanta must be >= 1"),
+    "aoi_cap": (_set_source("aoi_cap", 0), "aoi_cap must be >= 1"),
+    "weight": (_set_source("weight", -1.0), "weights must be non-negative"),
+    "capacity-zero": (_set_source("battery_capacity_mj", 0.0), "battery capacity must be positive"),
+    "capacity-negative": (_set_source("battery_capacity_mj", -0.3), "battery capacity must be positive"),
+    "no-sources": (lambda data: data.update(sources=[]), "at least one source is required"),
+    "efficiency-zero": (lambda data: data.update(harvest_efficiency=0.0), _EFFICIENCY),
+    "efficiency-above-one": (lambda data: data.update(harvest_efficiency=1.5), _EFFICIENCY),
+    "packet": (lambda data: data.update(packet_mbits=0.0), "packet size and bandwidth must be positive"),
+    "bandwidth": (lambda data: data.update(bandwidth_mhz=-1.0), "packet size and bandwidth must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_config_refuses_values_out_of_range(tmp_path, capsys, case):
+    """``load_config`` refuses a value out of its range, and the CLI turns
+    that into one error line and exit status 2 with no output created."""
+    change, message = _OUT_OF_RANGE[case]
+    data = _config_dict()
+    change(data)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert re.fullmatch(f"aoi-rl solve: error: cannot use config {re.escape(str(path))}: {message}", line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, quantum_mj, capacities_mj",
+    [("learning_small.yaml", 0.1, (0.1, 0.2, 0.3, 0.4, 0.5)),
+     ("single_source_large.yaml", 0.1 / 3, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))],
+)
+def test_battery_sweep_keeps_the_energy_quantum(name, quantum_mj, capacities_mj):
+    """A swept capacity holds a whole number of the config's quanta; one
+    that does not is refused rather than given another quantum."""
+    config = load_config(CONFIG_FILES[0].parent / name)
+    for mj in capacities_mj:
+        [spec] = with_battery_capacity(config, mj * 1e-3).sources
+        assert spec.battery_quanta == round(mj / quantum_mj)
+        assert spec.battery_capacity_joules / spec.battery_quanta == pytest.approx(quantum_mj * 1e-3)
+    for mj in (quantum_mj * 2.5, quantum_mj * 0.4, quantum_mj * (1 + 1e-6)):
+        with pytest.raises(InvalidConfigError, match=f"battery capacity {mj:g} mJ is not a whole number of source 1's"):
+            with_battery_capacity(config, mj * 1e-3)
 
 
 def test_config_takes_integral_floats_for_integer_keys():

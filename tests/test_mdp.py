@@ -24,7 +24,6 @@ from aoi_rl.mdp import (
     TransitionKernel,
     _class_gain,
     build_kernel,
-    check_policy_feasible,
     enumerate_states,
     evaluate_policy,
     export_policy_csv,
@@ -61,6 +60,11 @@ def test_throughput_objective_single_source_only():
     cfg = make_config(distances=(25.0, 40.0))
     with pytest.raises(ContractError):
         enumerate_states(cfg, "throughput")
+
+
+def test_unknown_objective_is_refused():
+    with pytest.raises(ValueError, match="unknown objective 'energy'"):
+        enumerate_states(make_config(), "energy")
 
 
 def test_size_guard_reports_state_count():
@@ -232,11 +236,20 @@ def test_markov_chain_gain_biased_two_state():
 
 
 def test_induced_chain_rejects_infeasible_policy():
+    """Evaluating a policy refuses an unaffordable transmission with the
+    message ``verify`` and ``simulate`` give: the count, then the first
+    state as the policy file writes it."""
     cfg = make_config(levels=1)
     kernel = build_kernel(cfg, enumerate_states(cfg))
     policy = np.ones(kernel.total_states, dtype=np.int64)  # transmit everywhere
-    with pytest.raises(InfeasibleActionError):
-        induced_chain(kernel, policy)
+    unpaid = kernel.total_states - np.count_nonzero(kernel.feasible[:, 1])
+    message = (
+        f"^{unpaid} state\\(s\\) take a transmission their battery cannot pay for; "
+        "the first, \\(b_1=0, A_1=1, g_1=1, h_1=1\\), takes T1$"
+    )
+    for check in (induced_chain, evaluate_policy):
+        with pytest.raises(InfeasibleActionError, match=message):
+            check(kernel, policy)
 
 
 def test_induced_chain_rejects_wrong_shape():
@@ -254,6 +267,27 @@ def test_induced_chain_rejects_out_of_range_actions(bad):
     policy = np.where(kernel.feasible[:, 1], bad, HARVEST)
     with pytest.raises(ContractError, match="0..1"):
         evaluate_policy(kernel, policy)
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [(np.zeros(3), r"shape \(3,\), expected \(256,\)"), (np.full(256, 2), r"0\.\.1$"),
+     (np.full(256, -1), r"0\.\.1$")],
+    ids=["shape", "above", "below"],
+)
+def test_export_and_kernel_share_the_policy_check(tmp_path, policy, message):
+    """Writing a policy file and checking a policy on the kernel refuse a
+    malformed policy alike, and the export creates no file."""
+    cfg = make_config()
+    kernel = build_kernel(cfg, enumerate_states(cfg))
+    path = tmp_path / "policy.csv"
+    with pytest.raises(ContractError, match=message):
+        export_policy_csv(path, kernel.indexer, policy)
+    with pytest.raises(ContractError, match=message):
+        kernel.policy_grid(policy)
+    assert not path.exists()
+    with pytest.raises(ContractError, match=r"values have shape \(3,\)"):
+        export_policy_csv(path, kernel.indexer, np.zeros(256, dtype=np.int64), np.zeros(3))
 
 
 def _random_feasible_policy(kernel, rng):
@@ -723,8 +757,8 @@ def test_solver_matches_nA_sweep_bit_for_bit(case, epsilon, monkeypatch):
     )
     assert np.array_equal(vt.values, values)
     assert np.array_equal(pt.actions, actions) and pt.actions.dtype == np.int64
-    assert vt.gain == gain and pt.gain == gain
-    assert vt.stats == pt.stats == {"sweeps": sweeps, "bracket": bracket, "near_ties": near}
+    assert vt.gain == gain
+    assert vt.stats == {"sweeps": sweeps, "bracket": bracket, "near_ties": near}
     assert len(calls) == 2 * sweeps
     assert epsilon < 1e-3 or near > 0
 
@@ -758,14 +792,15 @@ def test_derived_arrays_match_nA_builder(case):
         assert np.array_equal(kernel.reward_sa, stage)
     for arr in (kernel.feasible, kernel.succ_small, kernel.succ_full):
         assert arr.flags.c_contiguous and arr.flags.writeable
-    # the policy-file check counts exactly the infeasible choices of a policy
+    # the kernel's policy check counts exactly the infeasible choices of a policy
     states = np.arange(kernel.total_states)
     policy = np.random.default_rng(0).integers(kernel.num_actions, size=kernel.total_states)
     bad = np.count_nonzero(~feasible[states, policy])
     if bad:
-        with pytest.raises(ContractError, match=f"^{bad} state"):
-            check_policy_feasible(cfg, kernel.indexer, policy)
-    check_policy_feasible(cfg, kernel.indexer, np.where(feasible[states, policy], policy, HARVEST))
+        with pytest.raises(InfeasibleActionError, match=f"^{bad} state"):
+            kernel.policy_grid(policy)
+    paid = np.where(feasible[states, policy], policy, HARVEST)
+    assert np.array_equal(kernel.policy_grid(paid), paid.reshape(kernel.indexer.dims))
 
 
 def test_near_ties_count_planted_ties():
@@ -847,7 +882,9 @@ def _csv_reader_load(path, indexer):
     ids=["one-source", "two-source"],
 )
 def test_policy_csv_bytes_match_csv_module(tmp_path, cfg_kwargs, with_values, monkeypatch):
-    monkeypatch.setattr(mdp, "_CSV_CHUNK_ROWS", 100)  # rows span several chunks
+    # rows span several chunks, written and parsed
+    monkeypatch.setattr(mdp, "_CSV_WRITE_ROWS", 100)
+    monkeypatch.setattr(mdp, "_CSV_CHUNK_ROWS", 100)
     cfg = make_config(**cfg_kwargs)
     kernel = build_kernel(cfg, enumerate_states(cfg))
     rng = np.random.default_rng(4)

@@ -137,6 +137,12 @@ def test_single_source_threshold_detects_hole(small_config):
     assert any(v.state == (3, 4, 4, 4) for v in violations)
 
 
+def test_aoi_threshold_check_rejects_throughput_indexer(small_config):
+    idx = enumerate_states(small_config, "throughput")
+    with pytest.raises(ContractError, match="applies to age policies"):
+        check_threshold_aoi(idx, np.zeros(idx.total_states))
+
+
 def test_single_source_check_rejects_multi_source():
     cfg = make_config(distances=(25.0, 40.0))
     idx = enumerate_states(cfg)
@@ -189,6 +195,14 @@ def test_diff_rejects_mismatched_grids():
         diff_policies(
             np.zeros(age.total_states), np.zeros(thr.total_states), age, thr
         )
+
+
+def test_diff_rejects_multi_source_indexers():
+    cfg = make_config(distances=(25.0, 40.0))
+    age = enumerate_states(cfg)
+    _, thr = _diff_indexers()
+    with pytest.raises(ContractError, match="defined for N = 1"):
+        diff_policies(np.zeros(age.total_states), np.zeros(thr.total_states), age, thr)
 
 
 # --- report export --------------------------------------------------------
