@@ -8,6 +8,8 @@ is the mean gain, which keeps the mean harvested energy of the discrete
 model equal to the continuous one.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -61,11 +62,13 @@ def _write_manifest(
 ) -> None:
     """``skipped`` maps each output that was not written to the reason.
     ``solver`` (the exact solver's stats), ``phases`` (seconds per phase)
-    and ``slots_per_s`` are written when given."""
+    and ``slots_per_s`` are written when given. ``peak_rss_mb`` is the
+    process's peak resident set so far (``ru_maxrss``, kB on Linux)."""
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(config_path),
         "config_sha256": digest,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
         "seed": getattr(args, "seed", None),
         "command": args.command,
         "skipped": skipped or {},

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import zipfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,12 +136,20 @@ class QNetwork:
 
     @classmethod
     def load(cls, path) -> "QNetwork":
-        data = np.load(path)
-        if int(data["format_version"]) != 1:
-            raise ContractError(f"unknown checkpoint version {int(data['format_version'])}")
-        sizes = data["layer_sizes"]
-        weights = [data[f"w{k}"] for k in range(len(sizes) - 1)]
-        biases = [data[f"b{k}"] for k in range(len(sizes) - 1)]
+        """The network ``save`` wrote to ``path``; ``ContractError`` if the
+        file is not a whole archive holding every array ``save`` writes."""
+        try:
+            data = np.load(path)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ContractError("a single array, not a checkpoint archive")
+            with data:
+                if (version := int(data["format_version"])) != 1:
+                    raise ContractError(f"unknown checkpoint version {version}")
+                sizes = data["layer_sizes"]
+                weights = [data[f"w{k}"] for k in range(len(sizes) - 1)]
+                biases = [data[f"b{k}"] for k in range(len(sizes) - 1)]
+        except (zipfile.BadZipFile, KeyError) as exc:
+            raise ContractError(f"unreadable checkpoint: {exc}") from exc
         return cls(weights, biases)
 
 
@@ -222,18 +231,26 @@ def _activations(layer_sizes: list[int], rows: int) -> list[np.ndarray]:
     return [*acts, np.empty((rows, layer_sizes[-1]))]
 
 
-def _backward(net: QNetwork, acts, deltas, actions, targets, grads) -> float:
+def _backward_work(layer_sizes: list[int], rows: int) -> tuple:
+    """Work arrays of a ``rows``-row backward: the row numbers, a delta
+    shaped like each layer's output, and a rectifier mask shaped like
+    each hidden layer's output."""
+    deltas = [np.empty((rows, width)) for width in layer_sizes[1:]]
+    masks = [np.empty((rows, width), dtype=bool) for width in layer_sizes[1:-1]]
+    return np.arange(rows), deltas, masks
+
+
+def _backward(net: QNetwork, acts, work, actions, targets, grads) -> float:
     """Mean half-squared TD error of a forwarded batch; its exact gradient
     goes into ``grads``, per-layer blocks shaped like ``net.blocks``.
 
-    ``acts`` holds the batch and every layer's output, and ``deltas[k]``
-    is a work array shaped like layer k's output. Only the taken action's
-    output unit contributes per experience. The ones column of a layer's
-    input makes one product give the gradient of both its weights and
-    its bias.
+    ``acts`` holds the batch and every layer's output, and ``work`` is
+    ``_backward_work`` of the batch. Only the taken action's output unit
+    contributes per experience. The ones column of a layer's input makes
+    one product give the gradient of both its weights and its bias.
     """
+    rows, deltas, masks = work
     B = len(targets)
-    rows = np.arange(B)
     errors = acts[-1][rows, actions] - targets
     # np.mean(errors**2) without its wrappers: the same sum divided by B
     loss = 0.5 * (float(np.add.reduce(errors * errors)) / B)
@@ -243,15 +260,19 @@ def _backward(net: QNetwork, acts, deltas, actions, targets, grads) -> float:
     for k in range(len(grads) - 1, -1, -1):
         np.matmul(acts[k].T, delta, out=grads[k])
         if k > 0:
-            np.matmul(delta, net.weights[k].T, out=deltas[k - 1])
             delta = deltas[k - 1]
-            delta *= acts[k][:, :-1] > 0
+            np.matmul(deltas[k], net.weights[k].T, out=delta)
+            np.multiply(delta, np.greater(acts[k][:, :-1], 0.0, out=masks[k - 1]), out=delta)
     return loss
 
 
-def _update(net: QNetwork, grads: np.ndarray, learning_rate: float, loss: float) -> None:
-    """Guarded in-place SGD step on the flat gradient (which it scales)."""
-    if not np.isfinite(grads).all():
+def _update(
+    net: QNetwork, grads: np.ndarray, learning_rate: float, loss: float, finite: np.ndarray
+) -> None:
+    """Guarded in-place SGD step on the flat gradient (which it scales);
+    ``finite`` is a bool work array shaped like ``grads``."""
+    # np.isfinite(grads).all() without the Python wrapper of .all(), into a reused array
+    if not np.logical_and.reduce(np.isfinite(grads, out=finite)):
         raise FloatingPointError(f"non-finite gradient (loss={loss}); aborting training step")
     grads *= learning_rate
     net.params -= grads
@@ -264,10 +285,10 @@ def loss_and_grads(net: QNetwork, enc_batch, actions, targets):
     acts = _activations(net.layer_sizes, len(enc_batch))
     acts[0][:, :-1] = enc_batch
     net._forward_into(acts)
-    deltas = [np.empty((len(enc_batch), width)) for width in net.layer_sizes[1:]]
+    work = _backward_work(net.layer_sizes, len(enc_batch))
     grads = net.layers(np.empty_like(net.params))
     actions, targets = np.asarray(actions, dtype=np.int64), np.asarray(targets, dtype=float)
-    loss = _backward(net, acts, deltas, actions, targets, grads)
+    loss = _backward(net, acts, work, actions, targets, grads)
     return loss, [g[:-1] for g in grads], [g[-1] for g in grads]
 
 
@@ -275,7 +296,7 @@ def gradient_step(net: QNetwork, enc_batch, actions, targets, learning_rate: flo
     """In-place SGD step on the batch; returns the pre-update loss."""
     loss, grads_w, grads_b = loss_and_grads(net, enc_batch, actions, targets)
     grads = np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
-    _update(net, grads, learning_rate, loss)
+    _update(net, grads, learning_rate, loss, np.empty(len(grads), dtype=bool))
     return loss
 
 
@@ -376,9 +397,10 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     # where the replayed encodings go: the input columns before the ones column
     enc_next_in, enc_s_in = acts[0][:B, :-1], acts[0][B:, :-1]
     q_next = acts[-1][:B]
-    deltas = [np.empty((B, width)) for width in sizes[1:]]
+    work = _backward_work(sizes, B)
     grads = np.empty_like(net.params)
     grad_blocks = net.layers(grads)
+    finite = np.empty(len(grads), dtype=bool)
     # end-of-slot workspace: the reference state over the next state
     ends = _activations(sizes, 2)
     ends[0][0, :-1] = enc_ref
@@ -412,10 +434,8 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
                 targets = _relative_targets(
                     memory.costs.take(idx), q_next, memory.mask_next.take(idx, axis=0), ref_best
                 )
-                loss = _backward(
-                    net, acts_s, deltas, memory.actions.take(idx), targets, grad_blocks
-                )
-                _update(net, grads, _LEARNING_RATE, loss)
+                loss = _backward(net, acts_s, work, memory.actions.take(idx), targets, grad_blocks)
+                _update(net, grads, _LEARNING_RATE, loss, finite)
                 loss_trace[k] = loss
 
             ends[0][1, :-1] = enc_next

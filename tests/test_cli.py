@@ -595,7 +595,7 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
     solved = tmp_path / "solved"
     main(["solve", "--config", str(config_path), "--out", str(solved)])
     header, *rows = (solved / "policy.csv").read_text().splitlines()
-    path = tmp_path / ("checkpoint.npz" if kind == "width" else "policy.csv")
+    path = tmp_path / ("checkpoint.npz" if kind in _CHECKPOINT_KINDS else "policy.csv")
     if kind == "header":
         path.write_text("\n".join([header.replace("b_1", "x_1"), *rows]) + "\n")
         return path, "do not match indexer"
@@ -614,6 +614,25 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
         # a two-source network reads 8 inputs; one source encodes to 4
         QNetwork.create([8, 16, 3], np.random.default_rng(0)).save(path)
         return path, "8"
+    if kind in _CHECKPOINT_KINDS:
+        net = QNetwork.create([4, 64, 64, 2], np.random.default_rng(0))
+        if kind == "truncated":
+            # the first 600 of the 38,872 bytes of a checkpoint of the config's shape
+            net.save(path)
+            path.write_bytes(path.read_bytes()[:600])
+        elif kind == "zip-stub":
+            path.write_bytes(b"PK\x03\x04" + bytes(6))
+        elif kind == "no-version":
+            np.savez(path, layer_sizes=np.array(net.layer_sizes), w0=net.weights[0], b0=net.biases[0])
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, net.params)
+        return path, {
+            "truncated": "unreadable checkpoint: File is not a zip file",
+            "zip-stub": "unreadable checkpoint: File is not a zip file",
+            "no-version": "unreadable checkpoint: 'format_version is not a file in the archive'",
+            "single-array": "a single array, not a checkpoint archive",
+        }[kind]
     if kind in ("nan-values", "missing-values"):
         # every value NaN, or every other one of the 36 emptied
         cut = [row[: row.rindex(",") + 1] for row in rows]
@@ -638,8 +657,12 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
     return tmp_path / "absent.csv", "No such file"
 
 
+# checkpoints that are not whole archives of the arrays QNetwork.save writes
+_CORRUPT_CHECKPOINTS = ["truncated", "zip-stub", "no-version", "single-array"]
+_CHECKPOINT_KINDS = ["width", *_CORRUPT_CHECKPOINTS]
 _UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "width", "missing-file",
-                "infeasible", "infeasible-without-values", "nan-values", "missing-values"]
+                "infeasible", "infeasible-without-values", "nan-values", "missing-values",
+                *_CORRUPT_CHECKPOINTS]
 
 
 @pytest.mark.parametrize("kind", _UNFIT_KINDS)
@@ -822,19 +845,34 @@ def test_dqn_sweep_runs_above_the_state_limit(tmp_path, capsys):
     assert (out / "sweep.csv").read_text().startswith("packet_bits,gain")
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):
-    """The CLI, the solver and exact policy evaluation run on numpy alone;
-    the package root holds ``__version__`` and no other public name."""
+def _fresh_interpreter(script: str) -> str:
+    """Standard output of ``script`` run by a new interpreter that imports
+    this checkout's ``aoi_rl``."""
     src = str(Path(aoi_rl.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path, config_path):
+    """The CLI, the solver and exact policy evaluation run on numpy alone,
+    and the library's exact path, network tabulation included, without
+    ``numpy.random``; the package root holds ``__version__`` and no other
+    public name."""
     script = f"""
 import sys
+import numpy as np
 import aoi_rl
 assert [n for n in vars(aoi_rl) if not n.startswith("_")] == [], "the package root exports names"
 import aoi_rl.cli
+from aoi_rl.dqn import QNetwork, tabulate_policy
 from aoi_rl.env import load_config
 from aoi_rl.mdp import build_kernel, enumerate_states, evaluate_policy, solve_rvia
+from aoi_rl.structure import check_threshold_aoi, check_value_monotone_age
 assert "scipy" not in sys.modules, "importing aoi_rl.cli loaded scipy"
 config = load_config({str(config_path)!r})
 kernel = build_kernel(config, enumerate_states(config))
@@ -843,10 +881,61 @@ assert "scipy" not in sys.modules, "solving loaded scipy"
 gain = evaluate_policy(kernel, pt.actions)
 assert abs(gain - vt.gain) <= 1e-9 * abs(vt.gain), (gain, vt.gain)
 assert "scipy" not in sys.modules, "evaluating loaded scipy"
+assert not check_value_monotone_age(kernel.indexer, vt.values)
+assert not check_threshold_aoi(kernel.indexer, pt.actions)
+net = QNetwork([np.ones((4, 3)), np.ones((3, 2))], [np.zeros(3), np.zeros(2)])
+assert len(tabulate_policy(net, kernel)) == kernel.indexer.total_states
+assert "numpy.random" not in sys.modules, "the exact path loaded numpy.random"
 print("ok")
 """
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
+    assert _fresh_interpreter(script).strip() == "ok"
+
+
+@pytest.mark.parametrize(
+    "command, draws",
+    [
+        ("import", False),
+        ("solve", False),
+        ("verify-csv", False),
+        ("verify-npz", False),
+        ("sweep", False),
+        ("train-tabular", True),
+        ("train-dqn", True),
+        ("simulate", True),
+    ],
+)
+def test_only_commands_that_draw_load_numpy_random(tmp_path, config_path, capsys, command, draws):
+    """``numpy.random`` is imported by the commands that draw random numbers
+    and by no other: importing the CLI, ``solve``, ``verify`` of a policy
+    file or a checkpoint and an exact ``sweep`` run without it. Each runs in
+    a new interpreter, and the manifests they write hold that process's
+    peak RSS."""
+    cfg = ["--config", str(config_path)]
+    solved, checkpoint, out = tmp_path / "solved", tmp_path / "net.npz", tmp_path / "out"
+    train = ["train", *cfg, "--slots", "100", "--out", str(out), "--agent"]
+    argv = {
+        "import": None,
+        "solve": ["solve", *cfg, "--out", str(out)],
+        "verify-csv": ["verify", str(solved / "policy.csv"), *cfg],
+        "verify-npz": ["verify", str(checkpoint), *cfg],
+        "sweep": ["sweep", *cfg, "--vary", "packet_bits", "--values", "6,12", "--out", str(out)],
+        "train-tabular": [*train, "tabular"],
+        "train-dqn": [*train, "dqn"],
+        "simulate": ["simulate", *cfg, "--policy", str(solved / "policy.csv"), "--slots", "100"],
+    }[command]
+    main(["solve", *cfg, "--out", str(solved)])
+    QNetwork.create([4, 16, 2], np.random.default_rng(0)).save(checkpoint)
+    capsys.readouterr()
+    script = f"""
+import resource
+import sys
+from aoi_rl.cli import main
+status = 0 if {argv!r} is None else main({argv!r})
+print(status, "numpy.random" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    status, loaded, peak_kb = _fresh_interpreter(script).splitlines()[-1].split()
+    assert (status, loaded) == ("0", str(draws))
+    if command in ("solve", "sweep") or command.startswith("train"):
+        manifest = json.loads((out / "manifest.json").read_text())
+        # numpy alone takes more than 10 MB; the manifest is written before the process ends
+        assert 10 < manifest["peak_rss_mb"] <= round(int(peak_kb) / 1024, 2)
