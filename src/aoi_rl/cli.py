@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import resource
@@ -64,6 +63,10 @@ def _write_manifest(
     ``solver`` (the exact solver's stats), ``phases`` (seconds per phase)
     and ``slots_per_s`` are written when given. ``peak_rss_mb`` is the
     process's peak resident set so far (``ru_maxrss``, kB on Linux)."""
+    # imported here: hashlib loads OpenSSL, about 3.7 MB, which only a
+    # command that writes a manifest needs
+    import hashlib
+
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(config_path),
@@ -160,7 +163,7 @@ def cmd_train(args, config: SystemConfig) -> int:
             result.epsilon_trace,
             result.loss_trace,
         )
-        result.network.save(out / "checkpoint.npz")
+        result.network.save(out / "checkpoint.npz", config)
         try:
             kernel = build_kernel(config, enumerate_states(config, "age"))
             export_policy_csv(
@@ -206,7 +209,7 @@ def cmd_verify(args, config: SystemConfig) -> int:
     try:
         if artifact.suffix == ".npz":
             indexer = enumerate_states(config, "age")
-            policy = tabulate_policy(QNetwork.load(artifact), build_kernel(config, indexer))
+            policy = tabulate_policy(QNetwork.load(artifact, config), build_kernel(config, indexer))
             values = None
         else:
             indexer, policy, values = _policy_file(config, artifact)
@@ -295,7 +298,7 @@ def cmd_simulate(args, config: SystemConfig) -> int:
     artifact = Path(args.policy)
     try:
         if artifact.suffix == ".npz":
-            policy = greedy_policy_fn(QNetwork.load(artifact), config)
+            policy = greedy_policy_fn(QNetwork.load(artifact, config), config)
         else:
             policy = _table_policy(*_policy_file(config, artifact, "age")[:2])
     except _UNFIT_ARTIFACT as exc:

@@ -26,6 +26,14 @@ levels and replay indices come from separate streams of
 when they are built and memoise the action per state; the training loop
 memoises each state's encoding, mask and stage cost. Both memos are
 least-recently-used caches of ``_MEMO_SIZE`` states.
+
+The replay memory keeps each experience's raw (s', s) state pair, not
+its encodings, in the narrowest unsigned integer type that holds the
+config's states. A batch is gathered with one ``take`` and encoded by
+one float64 division into the stacked input, the division that encodes
+a single state, so the network reads the same bits. A checkpoint records
+the encoding's denominators, and ``QNetwork.load`` with a config refuses
+one trained on another state grid.
 """
 
 from __future__ import annotations
@@ -127,17 +135,23 @@ class QNetwork:
             else:
                 np.matmul(acts[k], block, out=acts[k + 1])
 
-    def save(self, path) -> None:
+    def save(self, path, config: SystemConfig) -> None:
+        """Write every weight and bias to ``path``, then the denominators
+        of ``config``'s state encoding, which ``load`` checks."""
         arrays = {"format_version": np.array(1), "layer_sizes": np.array(self.layer_sizes)}
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"w{k}"] = w
             arrays[f"b{k}"] = b
+        arrays["encoding_denominators"] = _encoding_denominators(config)
         np.savez(path, **arrays)
 
     @classmethod
-    def load(cls, path) -> "QNetwork":
+    def load(cls, path, config: SystemConfig | None = None) -> "QNetwork":
         """The network ``save`` wrote to ``path``; ``ContractError`` if the
-        file is not a whole archive holding every array ``save`` writes."""
+        file is not a whole archive holding every array ``save`` writes,
+        and with ``config`` also if the network was not trained on its
+        state encoding: another input width, other encoding denominators
+        or none recorded."""
         try:
             data = np.load(path)
             if not isinstance(data, np.lib.npyio.NpzFile):
@@ -148,30 +162,49 @@ class QNetwork:
                 sizes = data["layer_sizes"]
                 weights = [data[f"w{k}"] for k in range(len(sizes) - 1)]
                 biases = [data[f"b{k}"] for k in range(len(sizes) - 1)]
+                if config is not None:
+                    denoms = _encoding_denominators(config)
+                    if sizes[0] != len(denoms):
+                        raise ContractError(
+                            f"network input {sizes[0]} != state encoding width {len(denoms)}"
+                        )
+                    if "encoding_denominators" not in data.files:
+                        raise ContractError("the checkpoint records no encoding denominators")
+                    if not np.array_equal(saved := data["encoding_denominators"], denoms):
+                        raise ContractError(
+                            f"the checkpoint's encoding denominators {saved.tolist()} "
+                            f"!= the config's {denoms.tolist()}"
+                        )
         except (zipfile.BadZipFile, KeyError) as exc:
             raise ContractError(f"unreadable checkpoint: {exc}") from exc
         return cls(weights, biases)
 
 
 class ReplayMemory:
-    """Ring buffer of (encoded s, a, cost, encoded s', feasible mask of s')."""
+    """Ring buffer of experiences: the raw state pair (s', s) as one
+    (2, width) row of ``pairs``, the action, the stage cost of s and the
+    feasible mask of s'.
 
-    def __init__(self, capacity: int, state_width: int, num_actions: int):
+    ``pairs`` holds state tuples, not encodings, in the unsigned integer
+    type ``dtype`` (``_state_dtype`` of the config); a component that does
+    not fit it raises ``OverflowError`` instead of wrapping.
+    """
+
+    def __init__(self, capacity: int, state_width: int, num_actions: int, dtype: np.dtype):
         self.capacity = capacity
         self.size = 0
         self.cursor = 0
-        self.enc_s = np.zeros((capacity, state_width))
-        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.pairs = np.zeros((capacity, 2, state_width), dtype=dtype)
+        self.actions = np.zeros(capacity, dtype=np.int8)
         self.costs = np.zeros(capacity)
-        self.enc_next = np.zeros((capacity, state_width))
         self.mask_next = np.zeros((capacity, num_actions), dtype=bool)
 
-    def push(self, enc_s, action, cost, enc_next, mask_next) -> None:
+    def push(self, state, action, cost, next_state, mask_next) -> None:
         i = self.cursor
-        self.enc_s[i] = enc_s
+        self.pairs[i, 0] = next_state
+        self.pairs[i, 1] = state
         self.actions[i] = action
         self.costs[i] = cost
-        self.enc_next[i] = enc_next
         self.mask_next[i] = mask_next
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -204,6 +237,17 @@ def _encoding_denominators(config: SystemConfig) -> np.ndarray:
             max(s.link.levels_uplink - 1, 1),
         ]
     return np.array(denoms, dtype=float)
+
+
+def _state_dtype(config: SystemConfig) -> np.dtype:
+    """The narrowest unsigned integer type holding every component of
+    every state: the largest battery level, AoI less one or channel level
+    less one of any source."""
+    top = max(
+        max(s.battery_quanta, s.aoi_cap - 1, s.link.levels_downlink - 1, s.link.levels_uplink - 1)
+        for s in config.sources
+    )
+    return np.min_scalar_type(top)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +414,7 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     num_actions = config.num_sources + 1
     sizes = [4 * config.num_sources, *_HIDDEN_SIZES, num_actions]
     net = QNetwork.create(sizes, init_rng)
-    memory = ReplayMemory(_REPLAY_CAPACITY, sizes[0], num_actions)
+    memory = ReplayMemory(_REPLAY_CAPACITY, sizes[0], num_actions, _state_dtype(config))
     denoms = _encoding_denominators(config)
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -394,8 +438,11 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     B = _BATCH_SIZE
     acts = _activations(sizes, 2 * B)
     acts_s = [a[B:] for a in acts]
-    # where the replayed encodings go: the input columns before the ones column
-    enc_next_in, enc_s_in = acts[0][:B, :-1], acts[0][B:, :-1]
+    # the sampled (s', s) pairs, viewed as their s' block over their s
+    # block, and where their encodings go: the input columns of those rows
+    raw = np.empty((B, 2, sizes[0]), dtype=memory.pairs.dtype)
+    raw_blocks = raw.transpose(1, 0, 2)
+    encoded = acts[0].reshape(2, B, sizes[0] + 1)[:, :, :-1]
     q_next = acts[-1][:B]
     work = _backward_work(sizes, B)
     grads = np.empty_like(net.params)
@@ -422,14 +469,15 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
                 action = explored(feas, pick)
             else:
                 action = min(feas, key=q_s.__getitem__)  # ties to the lowest action
-            state = env.step(config, state, action, drawn)
-            enc_next, mask_next, feas_next, cost_next = observe(state)
-            memory.push(enc_s, action, cost, enc_next, mask_next)
+            next_state = env.step(config, state, action, drawn)
+            enc_next, mask_next, feas_next, cost_next = observe(next_state)
+            memory.push(state, action, cost, next_state, mask_next)
 
             if memory.size >= B:
                 idx = next(replay)
-                memory.enc_next.take(idx, axis=0, out=enc_next_in)
-                memory.enc_s.take(idx, axis=0, out=enc_s_in)
+                memory.pairs.take(idx, axis=0, out=raw)
+                # the float64 division ``observe`` does, so the same encodings
+                np.divide(raw_blocks, denoms, out=encoded)
                 net._forward_into(acts)
                 targets = _relative_targets(
                     memory.costs.take(idx), q_next, memory.mask_next.take(idx, axis=0), ref_best
@@ -446,7 +494,7 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
                 raise FloatingPointError(
                     f"Q-values diverged beyond {_DIVERGENCE_LIMIT} at slot {k}"
                 )
-            enc_s, feas, cost = enc_next, feas_next, cost_next
+            state, feas, cost = next_state, feas_next, cost_next
 
     return DqnResult(
         network=net,

@@ -1,6 +1,7 @@
 """End-to-end command-line tests on a small scenario."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -266,7 +267,7 @@ def test_artifact_on_state_space_above_limit_exits_2(tmp_path, config_path, caps
     huge = _huge_config(tmp_path)
     if kind == "npz":
         artifact = tmp_path / "checkpoint.npz"
-        QNetwork.create([12, 16, 4], np.random.default_rng(0)).save(artifact)
+        QNetwork.create([12, 16, 4], np.random.default_rng(0)).save(artifact, load_config(huge))
     else:
         assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "solved")]) == 0
         artifact = tmp_path / "solved" / "policy.csv"
@@ -612,13 +613,33 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
         return path, "policy action T2 lies outside H, T1..T1"
     if kind == "width":
         # a two-source network reads 8 inputs; one source encodes to 4
-        QNetwork.create([8, 16, 3], np.random.default_rng(0)).save(path)
-        return path, "8"
+        data = yaml.safe_load(config_path.read_text())
+        data["sources"] = 2 * [{**data["sources"][0], "weight": 0.5}]
+        (other := tmp_path / "other.yaml").write_text(yaml.safe_dump(data))
+        QNetwork.create([8, 16, 3], np.random.default_rng(0)).save(path, load_config(other))
+        return path, "network input 8 != state encoding width 4"
     if kind in _CHECKPOINT_KINDS:
         net = QNetwork.create([4, 64, 64, 2], np.random.default_rng(0))
+        if kind == "other-grid":
+            # trained on the same source with AoIs up to 300: 4 inputs, other scales
+            data = yaml.safe_load(config_path.read_text())
+            data["sources"][0]["aoi_cap"] = 300
+            (other := tmp_path / "other.yaml").write_text(yaml.safe_dump(data))
+            net.save(path, load_config(other))
+            return path, (
+                "the checkpoint's encoding denominators [2.0, 299.0, 1.0, 1.0] "
+                "!= the config's [2.0, 2.0, 1.0, 1.0]"
+            )
+        if kind == "no-encoding":
+            # the config's shape, written as before checkpoints recorded their encoding
+            arrays = {"format_version": np.array(1), "layer_sizes": np.array(net.layer_sizes)}
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"w{k}"], arrays[f"b{k}"] = w, b
+            np.savez(path, **arrays)
+            return path, "the checkpoint records no encoding denominators"
         if kind == "truncated":
-            # the first 600 of the 38,872 bytes of a checkpoint of the config's shape
-            net.save(path)
+            # the first 600 of the 39,178 bytes of a checkpoint of the config's shape
+            net.save(path, load_config(config_path))
             path.write_bytes(path.read_bytes()[:600])
         elif kind == "zip-stub":
             path.write_bytes(b"PK\x03\x04" + bytes(6))
@@ -659,10 +680,12 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
 
 # checkpoints that are not whole archives of the arrays QNetwork.save writes
 _CORRUPT_CHECKPOINTS = ["truncated", "zip-stub", "no-version", "single-array"]
-_CHECKPOINT_KINDS = ["width", *_CORRUPT_CHECKPOINTS]
-_UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "width", "missing-file",
+# checkpoints of networks trained on another state encoding, or on one not recorded
+_OTHER_ENCODINGS = ["width", "other-grid", "no-encoding"]
+_CHECKPOINT_KINDS = [*_OTHER_ENCODINGS, *_CORRUPT_CHECKPOINTS]
+_UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "missing-file",
                 "infeasible", "infeasible-without-values", "nan-values", "missing-values",
-                *_CORRUPT_CHECKPOINTS]
+                *_CHECKPOINT_KINDS]
 
 
 @pytest.mark.parametrize("kind", _UNFIT_KINDS)
@@ -907,9 +930,12 @@ print("ok")
 def test_only_commands_that_draw_load_numpy_random(tmp_path, config_path, capsys, command, draws):
     """``numpy.random`` is imported by the commands that draw random numbers
     and by no other: importing the CLI, ``solve``, ``verify`` of a policy
-    file or a checkpoint and an exact ``sweep`` run without it. Each runs in
-    a new interpreter, and the manifests they write hold that process's
-    peak RSS."""
+    file or a checkpoint and an exact ``sweep`` run without it. OpenSSL
+    (``_hashlib``) is loaded by the commands that write a manifest, for
+    its config digest, and by those that load ``numpy.random``: importing
+    the CLI and ``verify`` run without it. Each runs in a new interpreter,
+    and the manifests they write hold that process's peak RSS and the
+    config's SHA-256."""
     cfg = ["--config", str(config_path)]
     solved, checkpoint, out = tmp_path / "solved", tmp_path / "net.npz", tmp_path / "out"
     train = ["train", *cfg, "--slots", "100", "--out", str(out), "--agent"]
@@ -924,18 +950,21 @@ def test_only_commands_that_draw_load_numpy_random(tmp_path, config_path, capsys
         "simulate": ["simulate", *cfg, "--policy", str(solved / "policy.csv"), "--slots", "100"],
     }[command]
     main(["solve", *cfg, "--out", str(solved)])
-    QNetwork.create([4, 16, 2], np.random.default_rng(0)).save(checkpoint)
+    QNetwork.create([4, 16, 2], np.random.default_rng(0)).save(checkpoint, load_config(config_path))
     capsys.readouterr()
     script = f"""
 import resource
 import sys
 from aoi_rl.cli import main
 status = 0 if {argv!r} is None else main({argv!r})
-print(status, "numpy.random" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(status, "numpy.random" in sys.modules, "_hashlib" in sys.modules,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
-    status, loaded, peak_kb = _fresh_interpreter(script).splitlines()[-1].split()
-    assert (status, loaded) == ("0", str(draws))
+    status, loaded, hashed, peak_kb = _fresh_interpreter(script).splitlines()[-1].split()
+    hashes = command not in ("import", "verify-csv", "verify-npz")
+    assert (status, loaded, hashed) == ("0", str(draws), str(hashes))
     if command in ("solve", "sweep") or command.startswith("train"):
         manifest = json.loads((out / "manifest.json").read_text())
         # numpy alone takes more than 10 MB; the manifest is written before the process ends
         assert 10 < manifest["peak_rss_mb"] <= round(int(peak_kb) / 1024, 2)
+        assert manifest["config_sha256"] == hashlib.sha256(config_path.read_bytes()).hexdigest()

@@ -1,5 +1,6 @@
 """Network, replay memory, gradients, and the deep training loop."""
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +92,41 @@ def test_network_copy_is_independent():
 def test_checkpoint_round_trip(tmp_path):
     net = QNetwork.create([4, 16, 16, 2], np.random.default_rng(2))
     path = tmp_path / "net.npz"
-    net.save(path)
+    net.save(path, make_config())
     loaded = QNetwork.load(path)
     x = np.random.default_rng(3).uniform(size=4)
     assert loaded.forward(x) == pytest.approx(net.forward(x))
     assert loaded.layer_sizes == [4, 16, 16, 2]
+
+
+def test_checkpoint_records_the_encoding_it_was_trained_on(tmp_path):
+    """``save(path, config)`` writes the config's encoding denominators
+    after the arrays a checkpoint held before it recorded them, those
+    byte for byte the same; ``load(path, config)`` refuses a checkpoint of
+    another encoding or of none, and ``load(path)`` reads either."""
+    config = make_config()
+    net = QNetwork.create([4, 16, 2], np.random.default_rng(2))
+    bare, recorded = tmp_path / "bare.npz", tmp_path / "recorded.npz"
+    _per_layer_save(bare, net.weights, net.biases)
+    net.save(recorded, config)
+    with zipfile.ZipFile(bare) as a, zipfile.ZipFile(recorded) as b:
+        assert b.namelist() == [*a.namelist(), "encoding_denominators.npy"]
+        assert all(a.read(name) == b.read(name) for name in a.namelist())
+    with np.load(recorded) as data:
+        assert np.array_equal(data["encoding_denominators"], dqn._encoding_denominators(config))
+    for path in (bare, recorded):
+        assert np.array_equal(QNetwork.load(path).params, net.params)
+    assert np.array_equal(QNetwork.load(recorded, config).params, net.params)
+    with pytest.raises(ContractError, match="^the checkpoint records no encoding denominators$"):
+        QNetwork.load(bare, config)
+    with pytest.raises(
+        ContractError,
+        match=r"^the checkpoint's encoding denominators \[3\.0, 3\.0, 3\.0, 3\.0\] "
+        r"!= the config's \[3\.0, 299\.0, 3\.0, 3\.0\]$",
+    ):
+        QNetwork.load(recorded, make_config(aoi_cap=300))
+    with pytest.raises(ContractError, match="^network input 4 != state encoding width 8$"):
+        QNetwork.load(recorded, make_config(distances=(25.0, 40.0)))
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -115,13 +146,16 @@ def _per_layer_create(layer_sizes, rng):
     return weights, biases
 
 
-def _per_layer_save(path, weights, biases):
-    """The checkpoint writer on separate per-layer arrays."""
+def _per_layer_save(path, weights, biases, config=None):
+    """The checkpoint writer on separate per-layer arrays; without a
+    config, a checkpoint that records no encoding denominators."""
     sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
     arrays = {"format_version": np.array(1), "layer_sizes": np.array(sizes)}
     for k, (w, b) in enumerate(zip(weights, biases)):
         arrays[f"w{k}"] = w
         arrays[f"b{k}"] = b
+    if config is not None:
+        arrays["encoding_denominators"] = dqn._encoding_denominators(config)
     np.savez(path, **arrays)
 
 
@@ -177,9 +211,12 @@ def test_flat_network_copy_is_independent():
 
 def test_checkpoint_bytes_match_per_layer_writer(tmp_path):
     net = train_dqn(make_config(), DqnHyperparams(total_slots=300, seed=34)).network
-    net.save(tmp_path / "flat.npz")
+    net.save(tmp_path / "flat.npz", make_config())
     _per_layer_save(
-        tmp_path / "layers.npz", [w.copy() for w in net.weights], [b.copy() for b in net.biases]
+        tmp_path / "layers.npz",
+        [w.copy() for w in net.weights],
+        [b.copy() for b in net.biases],
+        make_config(),
     )
     assert (tmp_path / "flat.npz").read_bytes() == (tmp_path / "layers.npz").read_bytes()
     loaded = QNetwork.load(tmp_path / "flat.npz")
@@ -192,23 +229,74 @@ def test_checkpoint_bytes_match_per_layer_writer(tmp_path):
 
 
 def test_replay_ring_buffer_wraps():
-    mem = ReplayMemory(capacity=4, state_width=2, num_actions=2)
+    mem = ReplayMemory(capacity=4, state_width=2, num_actions=2, dtype=np.uint8)
     for k in range(6):
-        mem.push(np.full(2, k), k % 2, float(k), np.full(2, k + 1), np.array([True, False]))
-    assert mem.size == 4
+        mem.push((k, 2 * k), k % 2, float(k), (k + 1, 2 * k + 2), np.array([True, k % 3 == 0]))
+    assert mem.size == 4 and mem.cursor == 2
     stored = sorted(mem.costs.tolist())
     assert stored == [2.0, 3.0, 4.0, 5.0]  # the two oldest were overwritten
+    # slot i holds the experience pushed last at k = i or i + 4, each field in place
+    ks = [4, 5, 2, 3]
+    assert mem.costs.tolist() == [float(k) for k in ks]
+    assert mem.pairs.tolist() == [[[k + 1, 2 * k + 2], [k, 2 * k]] for k in ks]
+    assert mem.actions.tolist() == [k % 2 for k in ks]
+    assert mem.mask_next.tolist() == [[True, k % 3 == 0] for k in ks]
 
 
 def test_replay_sampling_is_uniform():
-    mem = ReplayMemory(capacity=50, state_width=1, num_actions=2)
+    mem = ReplayMemory(capacity=50, state_width=1, num_actions=2, dtype=np.uint8)
     for k in range(50):
-        mem.push([0.0], 0, float(k), [0.0], np.array([True, True]))
+        mem.push((0,), 0, float(k), (0,), np.array([True, True]))
     rng = np.random.default_rng(5)
     idx = mem.sample(1_000_000, rng)
     freq = np.bincount(idx, minlength=50) / 1_000_000
     assert np.all(np.abs(freq - 0.02) < 0.02 * 0.02 + 3e-4)
     assert np.abs(freq - 0.02).max() / 0.02 < 0.02  # within 2% of uniform
+
+
+@pytest.mark.parametrize(
+    "config, dtype, nbytes",
+    [
+        (make_config(), np.uint8, 19),
+        (make_config(distances=(25.0, 40.0)), np.uint8, 28),
+        (make_config(distances=(25.0, 40.0, 20.0)), np.uint8, 37),
+        (make_config(aoi_cap=256), np.uint8, 19),  # AoI less one at most 255
+        (make_config(aoi_cap=257), np.uint16, 27),
+        (make_config(aoi_cap=300), np.uint16, 27),
+        (make_config(battery_quanta=256), np.uint16, 27),
+        (make_config(levels=257), np.uint16, 27),
+    ],
+)
+def test_replay_stores_states_in_the_narrowest_unsigned_type(config, dtype, nbytes):
+    """Each experience is the raw (s', s) pair in the narrowest unsigned
+    type that holds every component of the config's states, an int8
+    action, a float64 cost and one mask byte per action."""
+    num_actions = config.num_sources + 1
+    mem = ReplayMemory(10, 4 * config.num_sources, num_actions, dqn._state_dtype(config))
+    assert mem.pairs.dtype == dtype and mem.actions.dtype == np.int8
+    assert sum(a[0].nbytes for a in (mem.pairs, mem.actions, mem.costs, mem.mask_next)) == nbytes
+    top = max(
+        max(s.battery_quanta, s.aoi_cap - 1, s.link.levels_downlink - 1, s.link.levels_uplink - 1)
+        for s in config.sources
+    )
+    state = (top,) * (4 * config.num_sources)
+    mem.push(state, num_actions - 1, 1.5, state, np.ones(num_actions, dtype=bool))
+    assert mem.pairs[0].tolist() == [list(state)] * 2
+    beyond = (np.iinfo(dtype).max + 1,) * len(state)
+    with pytest.raises(OverflowError):
+        mem.push(beyond, 0, 0.0, state, np.ones(num_actions, dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [256, -1])
+def test_replay_refuses_a_component_its_type_cannot_hold(bad):
+    """A state component outside uint8 raises instead of wrapping, in
+    either half of the pair, and leaves the ring where it was."""
+    mem = ReplayMemory(capacity=4, state_width=2, num_actions=2, dtype=np.uint8)
+    with pytest.raises(OverflowError):
+        mem.push((0, bad), 0, 1.0, (0, 0), np.array([True, True]))
+    with pytest.raises(OverflowError):
+        mem.push((0, 0), 0, 1.0, (bad, 0), np.array([True, True]))
+    assert (mem.size, mem.cursor) == (0, 0)
 
 
 # --- targets and gradients ------------------------------------------------
@@ -440,18 +528,47 @@ class _ReferenceEnv:
             self.h = self.rng.integers(0, self.H)
 
 
+class _FloatReplay:
+    """Ring buffer of float rows: (encoded s, a, cost, encoded s', feasible
+    mask of s'), each encoding stored as the float64 row the network
+    reads. ``ReplayMemory`` keeps raw integer state pairs instead."""
+
+    def __init__(self, capacity: int, state_width: int, num_actions: int):
+        self.capacity = capacity
+        self.size = 0
+        self.cursor = 0
+        self.enc_s = np.zeros((capacity, state_width))
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.costs = np.zeros(capacity)
+        self.enc_next = np.zeros((capacity, state_width))
+        self.mask_next = np.zeros((capacity, num_actions), dtype=bool)
+
+    def push(self, enc_s, action, cost, enc_next, mask_next) -> None:
+        i = self.cursor
+        self.enc_s[i] = enc_s
+        self.actions[i] = action
+        self.costs[i] = cost
+        self.enc_next[i] = enc_next
+        self.mask_next[i] = mask_next
+        self.cursor = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(self.size, size=batch_size)
+
+
 def _reference_train_dqn(config, hyper):
     """The training loop as it reads on the public per-call functions:
     targets from a copy of the network taken at the start of every slot,
     ``forward`` and ``gradient_step`` with their checks, fresh encodings
-    of every state, and every slot drawing from the learner's streams on
-    its own."""
+    of every state kept as float rows in ``_FloatReplay``, and every slot
+    drawing from the learner's streams on its own."""
     init_rng, explore_rng, channel_rng, replay_rng = tabular.learner_streams(hyper.seed)
     sim = _ReferenceEnv(config, channel_rng)
     num_actions = config.num_sources + 1
     sizes = [4 * config.num_sources, *dqn._HIDDEN_SIZES, num_actions]
     net = QNetwork.create(sizes, init_rng)
-    memory = ReplayMemory(dqn._REPLAY_CAPACITY, sizes[0], num_actions)
+    memory = _FloatReplay(dqn._REPLAY_CAPACITY, sizes[0], num_actions)
     enc_ref = np.zeros(sizes[0])
     ref_mask = np.zeros(num_actions, dtype=bool)
     ref_mask[0] = True
@@ -533,6 +650,28 @@ def test_training_matches_per_call_reference(monkeypatch, config, hyper, patches
     assert np.array_equal(result.epsilon_trace, eps_trace)
     assert np.array_equal(result.loss_trace, loss_trace, equal_nan=True)
     assert np.isfinite(loss_trace[dqn._BATCH_SIZE - 1:]).all()
+
+
+def test_training_on_a_wide_aoi_grid_stores_uint16_states(monkeypatch):
+    """With ``aoi_cap: 300`` the replay memory holds uint16 state pairs,
+    AoIs above uint8's 255 among them (the far source harvests nothing, so
+    its age climbs to the cap), and training still matches the float-row
+    reference bit for bit."""
+    made = []
+
+    class Recorded(ReplayMemory):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(dqn, "ReplayMemory", Recorded)
+    config = make_config(distances=(25.0, 150.0), battery_quanta=2, aoi_cap=300, levels=2)
+    test_training_matches_per_call_reference(
+        monkeypatch, config, DqnHyperparams(total_slots=400, seed=3), {}
+    )
+    [memory] = made
+    assert memory.pairs.dtype == np.uint16
+    assert memory.pairs[: memory.size, :, 1::4].max() == 299
 
 
 @pytest.mark.parametrize("eps0", [DqnHyperparams.eps0, 0.0])
