@@ -148,20 +148,29 @@ class QNetwork:
     @classmethod
     def load(cls, path, config: SystemConfig | None = None) -> "QNetwork":
         """The network ``save`` wrote to ``path``; ``ContractError`` if the
-        file is not a whole archive holding every array ``save`` writes,
-        and with ``config`` also if the network was not trained on its
-        state encoding: another input width, other encoding denominators
-        or none recorded."""
+        file is not a whole archive holding every array ``save`` writes, or
+        if its layer arrays do not chain as its ``layer_sizes`` say, and
+        with ``config`` also if the network was not trained on its state
+        encoding (another input width, other encoding denominators or none
+        recorded) or does not output one value per action."""
         try:
-            data = np.load(path)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise ContractError("a single array, not a checkpoint archive")
-            with data:
+            with open(path, "rb") as fh:
+                data = np.load(fh)
+                if not isinstance(data, np.lib.npyio.NpzFile):
+                    raise ContractError("a single array, not a checkpoint archive")
                 if (version := int(data["format_version"])) != 1:
                     raise ContractError(f"unknown checkpoint version {version}")
-                sizes = data["layer_sizes"]
-                weights = [data[f"w{k}"] for k in range(len(sizes) - 1)]
-                biases = [data[f"b{k}"] for k in range(len(sizes) - 1)]
+                sizes = data["layer_sizes"].tolist()
+                layers = sum(name.startswith("w") for name in data.files)
+                if not 0 < layers == len(sizes) - 1:
+                    raise ContractError(f"layer_sizes {sizes} do not count {layers} weight arrays")
+                weights = [data[f"w{k}"] for k in range(layers)]
+                biases = [data[f"b{k}"] for k in range(layers)]
+                shapes = [s for w, b in zip(weights, biases) for s in (w.shape, b.shape)]
+                if shapes != [s for i, o in zip(sizes, sizes[1:]) for s in ((i, o), (o,))]:
+                    raise ContractError(
+                        f"layer arrays of shapes {shapes} do not chain as layer_sizes {sizes}"
+                    )
                 if config is not None:
                     denoms = _encoding_denominators(config)
                     if sizes[0] != len(denoms):
@@ -174,6 +183,11 @@ class QNetwork:
                         raise ContractError(
                             f"the checkpoint's encoding denominators {saved.tolist()} "
                             f"!= the config's {denoms.tolist()}"
+                        )
+                    if sizes[-1] != config.num_sources + 1:
+                        raise ContractError(
+                            f"network output {sizes[-1]} != the config's "
+                            f"{config.num_sources + 1} actions"
                         )
         except (zipfile.BadZipFile, KeyError) as exc:
             raise ContractError(f"unreadable checkpoint: {exc}") from exc
@@ -226,28 +240,15 @@ class DqnHyperparams:
 
 
 def _encoding_denominators(config: SystemConfig) -> np.ndarray:
-    """The network input is the state tuple divided by these: per source,
-    (battery, AoI, downlink, uplink) scaled into [0, 1]."""
-    denoms = []
-    for s in config.sources:
-        denoms += [
-            s.battery_quanta,
-            max(s.aoi_cap - 1, 1),
-            max(s.link.levels_downlink - 1, 1),
-            max(s.link.levels_uplink - 1, 1),
-        ]
-    return np.array(denoms, dtype=float)
+    """The network input is the state tuple divided by these: each
+    variable's largest value, at least 1, which scales it into [0, 1]."""
+    return np.maximum(np.array(env.state_dims(config)) - 1, 1).astype(float)
 
 
 def _state_dtype(config: SystemConfig) -> np.dtype:
     """The narrowest unsigned integer type holding every component of
-    every state: the largest battery level, AoI less one or channel level
-    less one of any source."""
-    top = max(
-        max(s.battery_quanta, s.aoi_cap - 1, s.link.levels_downlink - 1, s.link.levels_uplink - 1)
-        for s in config.sources
-    )
-    return np.min_scalar_type(top)
+    every state: the largest value of any variable of ``state_dims``."""
+    return np.min_scalar_type(max(env.state_dims(config)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def train_dqn(config: SystemConfig, hyper: DqnHyperparams) -> DqnResult:
     """
     init_rng, explore_rng, channel_rng, replay_rng = learner_streams(hyper.seed)
     num_actions = config.num_sources + 1
-    sizes = [4 * config.num_sources, *_HIDDEN_SIZES, num_actions]
+    sizes = [len(env.state_dims(config)), *_HIDDEN_SIZES, num_actions]
     net = QNetwork.create(sizes, init_rng)
     memory = ReplayMemory(_REPLAY_CAPACITY, sizes[0], num_actions, _state_dtype(config))
     denoms = _encoding_denominators(config)

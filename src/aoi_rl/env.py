@@ -6,8 +6,9 @@ bookkeeping is in integer battery quanta of B_max,i / b_max,i joules each.
 
 A state is a flat tuple of 0-based ints, (b_i, A_i - 1, g_i - 1, h_i - 1)
 per source: battery quanta, AoI less one and the downlink and uplink
-channel levels less one. This is the variable order of the enumerated age
-state space, so ``StateIndexer.state_to_index(state)`` indexes it directly.
+channel levels less one. ``state_dims`` gives each variable's size; it is
+the grid of the enumerated age state space, so
+``StateIndexer.state_to_index(state)`` indexes a state tuple directly.
 ``step`` is the only implementation of the slot dynamics outside the exact
 kernel; the policy rollouts and the DQN training loop both run on it.
 """
@@ -218,6 +219,16 @@ def step(config: SystemConfig, state: State, action: int, levels: Levels) -> Sta
 def stage_cost(config: SystemConfig, state: State) -> float:
     """Weighted sum of the current AoI values."""
     return float(config.weights @ (np.array(state[1::4]) + 1))
+
+
+def state_dims(config: SystemConfig) -> tuple[int, ...]:
+    """How many values each variable of a state tuple takes, in its order:
+    ``battery_quanta + 1``, ``aoi_cap``, ``levels_downlink`` and
+    ``levels_uplink`` per source. Every state grid is read from this."""
+    return tuple(
+        d for s in config.sources
+        for d in (s.battery_quanta + 1, s.aoi_cap, s.link.levels_downlink, s.link.levels_uplink)
+    )
 
 
 def initial_state(config: SystemConfig) -> State:

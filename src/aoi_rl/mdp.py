@@ -32,14 +32,13 @@ start state's successor core.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
 
-from .env import SystemConfig, action_name, parse_action
+from .env import SystemConfig, action_name, parse_action, state_dims
 from .errors import (
     ContractError,
     ConvergenceError,
@@ -62,9 +61,9 @@ class StateIndexer:
     """Bijection between system states and dense indices.
 
     Variables are stored 0-based internally: battery quanta as-is, AoI as
-    value-1, channel levels as level-1. For the age objective the variable
-    order is (b_i, A_i, g_i, h_i) per source; the throughput objective
-    (single source) drops the AoI axis.
+    value-1, channel levels as level-1. The age objective's grid is
+    ``env.state_dims``, (b_i, A_i, g_i, h_i) per source; the throughput
+    objective (single source) drops the AoI axis.
     """
 
     objective: str  # "age" | "throughput"
@@ -81,26 +80,19 @@ class StateIndexer:
         return 4 if self.objective == "age" else 3
 
     def state_to_index(self, values) -> int:
-        """Row-major index of one state's 0-based variable values."""
-        values = tuple(values)
-        if len(values) != len(self.dims):
-            raise ValueError(f"expected {len(self.dims)} state variables, got {len(values)}")
-        index = 0
-        for v, d in zip(values, self.dims):
-            if not 0 <= v < d:
-                raise ValueError(f"state variable {v} outside [0, {d})")
-            index = index * d + operator.index(v)
-        return int(index)
+        """Row-major index of one state's 0-based variable values;
+        ``ValueError`` for the wrong number of values or one off its axis,
+        ``TypeError`` for a value that is not an integer."""
+        return int(np.ravel_multi_index(tuple(values), self.dims))
 
     def index_to_state(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.unravel_index(index, self.dims))
 
     def canonical_start_index(self) -> int:
         """Full batteries, AoI 1, lowest channel levels."""
-        values = []
-        for k, name in enumerate(self.var_names):
-            values.append(self.dims[k] - 1 if name.startswith("b_") else 0)
-        return self.state_to_index(values)
+        return self.state_to_index(
+            d - 1 if name.startswith("b_") else 0 for d, name in zip(self.dims, self.var_names)
+        )
 
 
 def enumerate_states(config: SystemConfig, objective: str = "age") -> StateIndexer:
@@ -108,36 +100,17 @@ def enumerate_states(config: SystemConfig, objective: str = "age") -> StateIndex
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "throughput" and config.num_sources != 1:
         raise ContractError("throughput objective is defined for a single source only")
-    dims: list[int] = []
-    names: list[str] = []
-    for i, spec in enumerate(config.sources, start=1):
-        dims.append(spec.battery_quanta + 1)
-        names.append(f"b_{i}")
-        if objective == "age":
-            dims.append(spec.aoi_cap)
-            names.append(f"A_{i}")
-        dims.append(spec.link.levels_downlink)
-        names.append(f"g_{i}")
-        dims.append(spec.link.levels_uplink)
-        names.append(f"h_{i}")
-    total = int(np.prod([int(d) for d in dims], dtype=object))
-    if total > STATE_LIMIT:
+    names = [f"{v}_{i}" for i in range(1, config.num_sources + 1) for v in "bAgh"]
+    # the throughput objective drops the AoI axes
+    dims, names = zip(*(
+        (d, name) for d, name in zip(state_dims(config), names) if objective == "age" or name[0] != "A"
+    ))
+    indexer = StateIndexer(objective, dims, names, config.num_sources)
+    if (total := indexer.total_states) > STATE_LIMIT:
         raise SizeLimitError(
             f"state space has {total} states, exceeding the limit of {STATE_LIMIT}"
         )
-    return StateIndexer(
-        objective=objective,
-        dims=tuple(dims),
-        var_names=tuple(names),
-        num_sources=config.num_sources,
-    )
-
-
-def _strides(dims) -> np.ndarray:
-    s = np.ones(len(dims), dtype=np.int64)
-    for k in range(len(dims) - 2, -1, -1):
-        s[k] = s[k + 1] * dims[k + 1]
-    return s
+    return indexer
 
 
 class TransitionKernel:
@@ -163,56 +136,39 @@ class TransitionKernel:
         age = self.objective == "age"
         self.num_actions = N + 1 if age else 2
         dims = indexer.dims
-        fstr = _strides(dims)
         vps = indexer.vars_per_source
-
-        def axis(k):
-            """Values of variable ``k``, full-size on its own axis only."""
-            shape = [1] * len(dims)
-            shape[k] = dims[k]
-            return np.arange(dims[k], dtype=np.int64).reshape(shape)
-
-        b = [axis(vps * i) for i in range(N)]
-        A = [axis(vps * i + 1) for i in range(N)] if age else None
-        g = [axis(vps * i + vps - 2) for i in range(N)]
-        h = [axis(vps * i + vps - 1) for i in range(N)]
+        # each variable's values, full-size on its own axis only
+        axes = np.ogrid[tuple(map(slice, dims))]
+        b, g, h = axes[0::vps], axes[vps - 2 :: vps], axes[vps - 1 :: vps]
+        A = axes[1::vps] if age else None
+        zero = np.zeros((1,) * len(dims), dtype=np.int64)
+        is_core = [k % vps < vps - 2 for k in range(len(dims))]
 
         # Full-index offset of each channel combination from the lowest
         # levels, row-major over (g_1, h_1, g_2, h_2, ...): per source every
         # (g, h) pair or, with reciprocal links, the diagonal g = h.
-        offsets = np.zeros(1, dtype=np.int64)
-        for i in range(N):
-            g_ax = vps * i + vps - 2
-            g_off = np.arange(dims[g_ax], dtype=np.int64) * fstr[g_ax]
-            h_off = np.arange(dims[g_ax + 1], dtype=np.int64) * fstr[g_ax + 1]
-            pairs = g_off + h_off if config.correlated_links else (g_off[:, None] + h_off).ravel()
-            offsets = (offsets[:, None] + pairs).ravel()
-        self.chan_offsets = offsets
-        self.chan_probs = np.full(len(offsets), 1.0 / len(offsets))
+        chan = [zero if core else ax for core, ax in zip(is_core, axes)]
+        if config.correlated_links:
+            chan[vps - 1 :: vps] = g
+        self.chan_offsets = np.ravel_multi_index(tuple(chan), dims).ravel()
+        self.chan_probs = np.full(len(self.chan_offsets), 1.0 / len(self.chan_offsets))
         # (g_1, h_1, g_2, h_2, ...) and the core (non-channel) axes: RVIA
         # contracts channels onto the core and policy evaluation runs on the
         # chain over it
-        self._chan_axes = tuple(k for k in range(len(dims)) if k % vps >= vps - 2)
-        core_axes = [k for k in range(len(dims)) if k % vps < vps - 2]
-        cdims = [dims[k] for k in core_axes]
-        cstr = _strides(cdims)
+        self._chan_axes = tuple(k for k, core in enumerate(is_core) if not core)
+        cdims = [d for d, core in zip(dims, is_core) if core]
         # full index of each core state at the lowest channel levels; adding
         # chan_offsets gives the full states that share the core
-        core_grids = np.unravel_index(np.arange(int(np.prod(cdims))), cdims)
-        self.core_base = np.stack(core_grids, axis=1).astype(np.int64) @ fstr[core_axes]
+        core_grid = [ax if core else zero for core, ax in zip(is_core, axes)]
+        self.core_base = np.ravel_multi_index(tuple(core_grid), dims).ravel()
 
         caps = [s.battery_quanta for s in config.sources]
         aoi_caps = [s.aoi_cap for s in config.sources]
 
         def encode(next_b, next_A):
             """Core index of (b', A')."""
-            core = np.zeros((1,) * len(dims), dtype=np.int64)
-            for i in range(N):
-                ci = 2 * i if age else i
-                core = core + next_b[i] * cstr[ci]
-                if age:
-                    core = core + next_A[i] * cstr[ci + 1]
-            return core
+            core = [v for pair in zip(next_b, next_A) for v in pair] if age else next_b
+            return np.ravel_multi_index(tuple(core), cdims)
 
         aged = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)] if age else None
         hb = [np.minimum(caps[i], b[i] + np.take(config.harvest_table[i], g[i])) for i in range(N)]
@@ -226,7 +182,7 @@ class TransitionKernel:
             tA = None
             if age:
                 tA = list(aged)
-                tA[j] = np.zeros((1,) * len(dims), dtype=np.int64)
+                tA[j] = zero
             succ_tables.append(np.where(feas, encode(tb, tA), -1))
             transmit_ok.append(feas)
         self.succ_tables = succ_tables

@@ -89,20 +89,11 @@ def check_threshold_aoi(indexer: StateIndexer, policy: np.ndarray) -> list[Viola
 def _threshold_set(indexer: StateIndexer, config: SystemConfig) -> np.ndarray:
     """States with battery >= max(b_max - harvest gain, transmit cost),
     i.e. where one harvesting slot tops the battery off."""
+    axes = np.ogrid[tuple(map(slice, indexer.dims))]
+    b, g, h = (axes[indexer.var_names.index(name)] for name in ("b_1", "g_1", "h_1"))
     bmax = config.sources[0].battery_quanta
-    b_ax = indexer.var_names.index("b_1")
-    g_ax = indexer.var_names.index("g_1")
-    h_ax = indexer.var_names.index("h_1")
-    shape = [1] * len(indexer.dims)
-
-    def along(arr, axis):
-        s = shape.copy()
-        s[axis] = len(arr)
-        return np.reshape(arr, s)
-
-    b = along(np.arange(indexer.dims[b_ax]), b_ax)
     need = np.maximum(
-        bmax - along(config.harvest_table[0], g_ax), along(config.transmit_table[0], h_ax)
+        bmax - np.take(config.harvest_table[0], g), np.take(config.transmit_table[0], h)
     )
     return np.broadcast_to(b >= need, indexer.dims)
 

@@ -630,6 +630,28 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
                 "the checkpoint's encoding denominators [2.0, 299.0, 1.0, 1.0] "
                 "!= the config's [2.0, 2.0, 1.0, 1.0]"
             )
+        if kind in ("one-output", "three-output"):
+            # the config's input, with one output too few or too many
+            outputs = {"one-output": 1, "three-output": 3}[kind]
+            QNetwork.create([4, 64, 64, outputs], np.random.default_rng(0)).save(path, load_config(config_path))
+            return path, f"network output {outputs} != the config's 2 actions"
+        if kind in _MISSHAPEN_CHECKPOINTS:
+            # the config's checkpoint with one array replaced
+            net.save(path, load_config(config_path))
+            with np.load(path) as data:
+                arrays = dict(data)
+            edit, reason = {
+                "dropped-layer": ({"layer_sizes": np.array([4, 64, 2])},
+                                  "layer_sizes [4, 64, 2] do not count 3 weight arrays"),
+                "unchained": ({"w1": np.zeros((32, 64))},
+                              "layer arrays of shapes [(4, 64), (64,), (32, 64), (64,), (64, 2), (2,)] "
+                              "do not chain as layer_sizes [4, 64, 64, 2]"),
+                "bias-length": ({"b0": np.zeros(1)},
+                                "layer arrays of shapes [(4, 64), (1,), (64, 64), (64,), (64, 2), (2,)] "
+                                "do not chain as layer_sizes [4, 64, 64, 2]"),
+            }[kind]
+            np.savez(path, **{**arrays, **edit})
+            return path, reason
         if kind == "no-encoding":
             # the config's shape, written as before checkpoints recorded their encoding
             arrays = {"format_version": np.array(1), "layer_sizes": np.array(net.layer_sizes)}
@@ -682,7 +704,10 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
 _CORRUPT_CHECKPOINTS = ["truncated", "zip-stub", "no-version", "single-array"]
 # checkpoints of networks trained on another state encoding, or on one not recorded
 _OTHER_ENCODINGS = ["width", "other-grid", "no-encoding"]
-_CHECKPOINT_KINDS = [*_OTHER_ENCODINGS, *_CORRUPT_CHECKPOINTS]
+# checkpoints whose arrays do not make a network with one output per action
+_MISSHAPEN_CHECKPOINTS = ["dropped-layer", "unchained", "bias-length"]
+_CHECKPOINT_KINDS = [*_OTHER_ENCODINGS, *_CORRUPT_CHECKPOINTS, *_MISSHAPEN_CHECKPOINTS,
+                     "one-output", "three-output"]
 _UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "missing-file",
                 "infeasible", "infeasible-without-values", "nan-values", "missing-values",
                 *_CHECKPOINT_KINDS]

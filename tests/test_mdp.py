@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu, spsolve
 
-from aoi_rl import mdp
-from aoi_rl.env import HARVEST, action_name, load_config, parse_action
+from aoi_rl import dqn, mdp
+from aoi_rl.env import HARVEST, action_name, initial_state, load_config, parse_action, state_dims
 from aoi_rl.errors import (
     ContractError,
     ConvergenceError,
@@ -99,6 +99,48 @@ def test_canonical_start_state():
     idx = enumerate_states(cfg)
     start = idx.index_to_state(idx.canonical_start_index())
     assert start == (3, 0, 0, 0)  # full battery, AoI 1, lowest levels (0-based)
+
+
+def _grid_configs():
+    rng = np.random.default_rng(22)
+    return [
+        *(load_config(path) for path in sorted((ROOT / "configs").glob("*.yaml"))),
+        *(random_tiny_config(rng) for _ in range(10)),
+        make_config(aoi_cap=1),
+        make_config(levels=1),
+        # the largest battery level a uint8 holds, and one more
+        make_config(battery_quanta=255, levels=2),
+        make_config(battery_quanta=256, levels=2),
+        make_config(distances=(25.0, 40.0), battery_quanta=2, aoi_cap=3, levels=3, correlated_links=True),
+    ]
+
+
+@pytest.mark.parametrize("cfg", _grid_configs())
+def test_state_dims_is_the_grid_of_every_index_and_encoding(cfg):
+    """The indexer, the canonical start and the DQN's encoding all read
+    ``state_dims``; the DQN's values are checked against the per-source
+    formulas it used before."""
+    dims = state_dims(cfg)
+    names = tuple(f"{v}_{i}" for i in range(1, cfg.num_sources + 1) for v in "bAgh")
+    age = enumerate_states(cfg, "age")
+    assert (age.dims, age.var_names) == (dims, names)
+    assert age.canonical_start_index() == age.state_to_index(initial_state(cfg))
+    with pytest.raises(TypeError):
+        age.state_to_index([0.0] * len(dims))
+    if cfg.num_sources == 1:
+        throughput = enumerate_states(cfg, "throughput")
+        assert throughput.dims == dims[:1] + dims[2:]
+        assert throughput.var_names == names[:1] + names[2:]
+        b, _, g, h = initial_state(cfg)
+        assert throughput.canonical_start_index() == throughput.state_to_index((b, g, h))
+    denoms, top = [], 0
+    for s in cfg.sources:
+        g, h = s.link.levels_downlink, s.link.levels_uplink
+        denoms += [s.battery_quanta, max(s.aoi_cap - 1, 1), max(g - 1, 1), max(h - 1, 1)]
+        top = max(top, s.battery_quanta, s.aoi_cap - 1, g - 1, h - 1)
+    encoding = dqn._encoding_denominators(cfg)
+    assert encoding.dtype == np.float64 and encoding.tolist() == denoms
+    assert dqn._state_dtype(cfg) == np.min_scalar_type(top)
 
 
 # --- transition kernel ----------------------------------------------------
