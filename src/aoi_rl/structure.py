@@ -89,7 +89,7 @@ def check_threshold_aoi(indexer: StateIndexer, policy: np.ndarray) -> list[Viola
 def _threshold_set(indexer: StateIndexer, config: SystemConfig) -> np.ndarray:
     """States with battery >= max(b_max - harvest gain, transmit cost),
     i.e. where one harvesting slot tops the battery off."""
-    axes = np.ogrid[tuple(map(slice, indexer.dims))]
+    axes = indexer.axes
     b, g, h = (axes[indexer.var_names.index(name)] for name in ("b_1", "g_1", "h_1"))
     bmax = config.sources[0].battery_quanta
     need = np.maximum(

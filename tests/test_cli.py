@@ -643,6 +643,8 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
             edit, reason = {
                 "dropped-layer": ({"layer_sizes": np.array([4, 64, 2])},
                                   "layer_sizes [4, 64, 2] do not count 3 weight arrays"),
+                "0-d-sizes": ({"layer_sizes": np.array(4)},
+                              "layer_sizes [4] do not count 3 weight arrays"),
                 "unchained": ({"w1": np.zeros((32, 64))},
                               "layer arrays of shapes [(4, 64), (64,), (32, 64), (64,), (64, 2), (2,)] "
                               "do not chain as layer_sizes [4, 64, 64, 2]"),
@@ -705,7 +707,7 @@ _CORRUPT_CHECKPOINTS = ["truncated", "zip-stub", "no-version", "single-array"]
 # checkpoints of networks trained on another state encoding, or on one not recorded
 _OTHER_ENCODINGS = ["width", "other-grid", "no-encoding"]
 # checkpoints whose arrays do not make a network with one output per action
-_MISSHAPEN_CHECKPOINTS = ["dropped-layer", "unchained", "bias-length"]
+_MISSHAPEN_CHECKPOINTS = ["dropped-layer", "0-d-sizes", "unchained", "bias-length"]
 _CHECKPOINT_KINDS = [*_OTHER_ENCODINGS, *_CORRUPT_CHECKPOINTS, *_MISSHAPEN_CHECKPOINTS,
                      "one-output", "three-output"]
 _UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "missing-file",
