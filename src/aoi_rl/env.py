@@ -9,13 +9,15 @@ per source: battery quanta, AoI less one and the downlink and uplink
 channel levels less one. ``state_dims`` gives each variable's size; it is
 the grid of the enumerated age state space, so
 ``StateIndexer.state_to_index(state)`` indexes a state tuple directly.
-``step`` is the only implementation of the slot dynamics outside the exact
-kernel; the policy rollouts and the DQN training loop both run on it.
+The slot dynamics are the config's successor arrays ``charged``, ``spent``
+and ``aged``: ``step`` reads them one state at a time, for the rollouts and
+the DQN training loop, and the exact kernel reads them over the state grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 import warnings
@@ -91,11 +93,12 @@ class SystemConfig:
     noise_watts: float = field(init=False)
     downlink_quantizers: tuple[FadingQuantizer, ...] = field(init=False)
     uplink_quantizers: tuple[FadingQuantizer, ...] = field(init=False)
-    # per source, quanta by 0-based level: harvested over downlink levels,
-    # needed to transmit over uplink levels; the stepper, the exact kernel
-    # and the structure checks all index these
-    harvest_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    transmit_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # the slot model per source i, read-only, by 0-based value: the battery
+    # after harvesting, charged[i][b, g], or transmitting, spent[i][b, h] (-1
+    # where i cannot pay), and aged[i][a], the AoI after a slot i does not use
+    charged: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    spent: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    aged: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,21 +128,26 @@ class SystemConfig:
         self.uplink_quantizers = tuple(
             build_quantizer(s.link.mean_gain, s.link.levels_uplink) for s in self.sources
         )
-        self.harvest_table = tuple(
-            tuple(harvested_quanta(self, i, lv) for lv in range(1, s.link.levels_downlink + 1))
-            for i, s in enumerate(self.sources)
-        )
-        self.transmit_table = tuple(
-            tuple(transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1))
-            for i, s in enumerate(self.sources)
-        )
-        for i, (spec, costs) in enumerate(zip(self.sources, self.transmit_table), start=1):
-            if min(costs) > spec.battery_quanta:
+        model = []
+        for i, s in enumerate(self.sources):
+            cap, battery = s.battery_quanta, np.arange(s.battery_quanta + 1)[:, None]
+            gains = [harvested_quanta(self, i, lv) for lv in range(1, s.link.levels_downlink + 1)]
+            costs = [transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1)]
+            # a gain above the capacity charges as the capacity, a cost above it as one more
+            model.append((
+                np.minimum(battery + [min(q, cap) for q in gains], cap),
+                np.maximum(battery - [min(q, cap + 1) for q in costs], -1),
+                np.minimum(np.arange(1, s.aoi_cap + 1), s.aoi_cap - 1),
+            ))
+            if model[-1][1].max() < 0:
                 warnings.warn(
-                    f"source {i} can never transmit: minimum transmit cost {min(costs)} "
-                    f"quanta exceeds battery capacity {spec.battery_quanta}",
+                    f"source {i + 1} can never transmit: minimum transmit cost {min(costs)} "
+                    f"quanta exceeds battery capacity {cap}",
                     stacklevel=3,
                 )
+        for a in itertools.chain(*model):
+            a.flags.writeable = False
+        self.charged, self.spent, self.aged = zip(*model)
         self.weights = np.array([s.weight for s in self.sources])
 
     @property
@@ -187,9 +195,7 @@ def transmit_quanta(config: SystemConfig, source_index: int, h_level: int) -> in
 def feasible_actions(config: SystemConfig, state: State) -> list[int]:
     """Harvest plus every transmit whose battery covers the uplink cost."""
     return [HARVEST] + [
-        i + 1
-        for i, table in enumerate(config.transmit_table)
-        if state[4 * i] >= table[state[4 * i + 3]]
+        i + 1 for i, spent in enumerate(config.spent) if spent.item(state[4 * i], state[4 * i + 3]) >= 0
     ]
 
 
@@ -201,18 +207,18 @@ def step(config: SystemConfig, state: State, action: int, levels: Levels) -> Sta
     """
     i = action - 1
     if action != HARVEST and not (
-        0 <= i < config.num_sources and state[4 * i] >= config.transmit_table[i][state[4 * i + 3]]
+        0 <= i < config.num_sources and config.spent[i].item(state[4 * i], state[4 * i + 3]) >= 0
     ):
         raise InfeasibleActionError(f"action {action_name(action)} is infeasible in state {state}")
     down, up = levels
     out = []
-    for j, spec in enumerate(config.sources):
+    for j in range(config.num_sources):
         b, age, g, h = state[4 * j : 4 * j + 4]
         if action == HARVEST:
-            b = min(spec.battery_quanta, b + config.harvest_table[j][g])
+            b = config.charged[j].item(b, g)
         elif action == j + 1:
-            b -= config.transmit_table[j][h]
-        out += (b, 0 if action == j + 1 else min(spec.aoi_cap - 1, age + 1), down[j], up[j])
+            b = config.spent[j].item(b, h)
+        out += (b, 0 if action == j + 1 else config.aged[j].item(age), down[j], up[j])
     return tuple(out)
 
 

@@ -177,31 +177,22 @@ class TransitionKernel:
         core_grid = [ax if core else zero for core, ax in zip(is_core, axes)]
         self.core_base = np.ravel_multi_index(tuple(core_grid), dims).ravel()
 
-        caps = [s.battery_quanta for s in config.sources]
-        aoi_caps = [s.aoi_cap for s in config.sources]
-
         def encode(next_b, next_A):
             """Core index of (b', A')."""
             core = [v for pair in zip(next_b, next_A) for v in pair] if age else next_b
             return np.ravel_multi_index(tuple(core), cdims)
 
-        aged = [np.minimum(aoi_caps[i] - 1, A[i] + 1) for i in range(N)] if age else None
-        hb = [np.minimum(caps[i], b[i] + np.take(config.harvest_table[i], g[i])) for i in range(N)]
-        succ_tables = [encode(hb, aged)]
-        transmit_ok = []
+        # the config's successor arrays, fancy-indexed on the grid's axes
+        aged = [config.aged[i][A[i]] for i in range(N)] if age else None
+        succ_tables = [encode([config.charged[i][b[i], g[i]] for i in range(N)], aged)]
+        spent = [config.spent[j][b[j], h[j]] for j in range(N)]
+        self.transmit_ok = [left >= 0 for left in spent]
         for j in range(N):
-            cost_j = np.take(config.transmit_table[j], h[j])
-            feas = b[j] >= cost_j
-            tb = list(b)
-            tb[j] = b[j] - np.where(feas, cost_j, 0)
-            tA = None
-            if age:
-                tA = list(aged)
-                tA[j] = zero
-            succ_tables.append(np.where(feas, encode(tb, tA), -1))
-            transmit_ok.append(feas)
+            # an unpaid transmission's -1 is encoded as 0, then masked
+            tb = [*b[:j], np.maximum(spent[j], 0), *b[j + 1 :]]
+            tA = [*aged[:j], zero, *aged[j + 1 :]] if age else None
+            succ_tables.append(np.where(self.transmit_ok[j], encode(tb, tA), -1))
         self.succ_tables = succ_tables
-        self.transmit_ok = transmit_ok
 
         if age:
             cost = np.zeros((1,) * len(dims))

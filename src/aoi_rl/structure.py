@@ -87,15 +87,12 @@ def check_threshold_aoi(indexer: StateIndexer, policy: np.ndarray) -> list[Viola
 
 
 def _threshold_set(indexer: StateIndexer, config: SystemConfig) -> np.ndarray:
-    """States with battery >= max(b_max - harvest gain, transmit cost),
-    i.e. where one harvesting slot tops the battery off."""
+    """States where one harvesting slot tops the battery off and the
+    battery can pay for a transmission."""
     axes = indexer.axes
     b, g, h = (axes[indexer.var_names.index(name)] for name in ("b_1", "g_1", "h_1"))
-    bmax = config.sources[0].battery_quanta
-    need = np.maximum(
-        bmax - np.take(config.harvest_table[0], g), np.take(config.transmit_table[0], h)
-    )
-    return np.broadcast_to(b >= need, indexer.dims)
+    full = config.charged[0][b, g] == config.sources[0].battery_quanta
+    return np.broadcast_to(full & (config.spent[0][b, h] >= 0), indexer.dims)
 
 
 def check_threshold_single_source(

@@ -117,7 +117,8 @@ def test_config_warns_when_transmission_impossible(builder, tmp_path):
     assert [str(w.message) for w in record] == [
         "source 1 can never transmit: minimum transmit cost 4 quanta exceeds battery capacity 2"
     ]
-    assert cfg.transmit_table == ((4,),) and cfg.sources[0].battery_quanta == 2
+    assert transmit_quanta(cfg, 0, 1) == 4 and cfg.sources[0].battery_quanta == 2
+    assert cfg.spent[0].tolist() == [[-1], [-1], [-1]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kernel = build_kernel(cfg, enumerate_states(cfg))
@@ -329,20 +330,59 @@ def _table_configs():
     ]
 
 
-def test_quanta_tables_match_radio_arithmetic():
+def _successor_lists(cfg, i):
+    """Source ``i``'s charged, spent and aged arrays as nested lists, written
+    out from the radio arithmetic one 0-based value at a time."""
+    spec = cfg.sources[i]
+    cap, down, up = spec.battery_quanta, spec.link.levels_downlink, spec.link.levels_uplink
+    batteries = range(cap + 1)
+    charged = [[min(cap, b + harvested_quanta(cfg, i, g + 1)) for g in range(down)] for b in batteries]
+    spent = [
+        [b - transmit_quanta(cfg, i, h + 1) if b >= transmit_quanta(cfg, i, h + 1) else -1 for h in range(up)]
+        for b in batteries
+    ]
+    return charged, spent, [min(spec.aoi_cap - 1, a + 1) for a in range(spec.aoi_cap)]
+
+
+def test_successor_arrays_match_radio_arithmetic():
     for cfg in _table_configs():
-        for i, spec in enumerate(cfg.sources):
-            down = range(1, spec.link.levels_downlink + 1)
-            up = range(1, spec.link.levels_uplink + 1)
-            assert cfg.harvest_table[i] == tuple(harvested_quanta(cfg, i, lv) for lv in down)
-            assert cfg.transmit_table[i] == tuple(transmit_quanta(cfg, i, lv) for lv in up)
+        for i in range(cfg.num_sources):
+            arrays = (cfg.charged[i], cfg.spent[i], cfg.aged[i])
+            assert [a.tolist() for a in arrays] == list(_successor_lists(cfg, i))
+            for a in arrays:
+                assert a.dtype == np.int64 and not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+        assert isinstance(cfg.charged, tuple) and isinstance(cfg.spent, tuple) and isinstance(cfg.aged, tuple)
 
 
-def test_quanta_tables_follow_replaced_fields():
+def test_successor_arrays_follow_replaced_fields():
     cfg = make_config(levels=6)
     long = with_packet_bits(cfg, 16e6)
-    assert long.transmit_table != cfg.transmit_table
-    assert long.transmit_table[0] == tuple(transmit_quanta(long, 0, lv) for lv in range(1, 7))
+    assert long.spent[0].tolist() != cfg.spent[0].tolist()
+    assert long.spent[0].tolist() == _successor_lists(long, 0)[1]
+    roomy = with_battery_capacity(cfg, 0.6e-3)
+    assert [a.tolist() for a in (roomy.charged[0], roomy.spent[0])] == list(_successor_lists(roomy, 0)[:2])
+
+
+def test_successor_arrays_clip_huge_gains_and_costs():
+    """A harvest or a cost beyond any int64 charges to the capacity or
+    cannot be paid."""
+    cfg = make_config(distances=(1e-120,), levels=2)
+    assert harvested_quanta(cfg, 0, 1) > 2**64
+    assert cfg.charged[0].tolist() == [[3, 3]] * 4
+    with pytest.warns(UserWarning, match="source 1 can never transmit"):
+        far = make_config(distances=(1e150,), levels=2)
+    assert transmit_quanta(far, 0, 1) > 2**64
+    assert far.spent[0].tolist() == [[-1, -1]] * 4
+
+
+def test_successor_arrays_are_left_out_of_equality():
+    hidden = {f.name for f in dataclasses.fields(env.SystemConfig) if not f.compare}
+    assert {"charged", "spent", "aged", "weights"} <= hidden
+    # one level each: the quantizers' gain arrays then compare as one bool
+    assert make_config(levels=1) == make_config(levels=1)
+    assert make_config(levels=1) != make_config(levels=1, packet_mbits=16.0)
 
 
 def _sources(state):

@@ -13,7 +13,16 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu, spsolve
 
 from aoi_rl import dqn, mdp
-from aoi_rl.env import HARVEST, action_name, initial_state, load_config, parse_action, state_dims
+from aoi_rl.env import (
+    HARVEST,
+    action_name,
+    harvested_quanta,
+    initial_state,
+    load_config,
+    parse_action,
+    state_dims,
+    transmit_quanta,
+)
 from aoi_rl.errors import (
     ContractError,
     ConvergenceError,
@@ -515,7 +524,8 @@ def test_core_chain_starts_at_successor_of_start_state():
         packet_mbits=7.36,
     )
     kernel = build_kernel(cfg, enumerate_states(cfg))
-    assert cfg.harvest_table == ((1,),) and cfg.transmit_table == ((1, 1),)
+    assert harvested_quanta(cfg, 0, 1) == 1
+    assert [transmit_quanta(cfg, 0, lv) for lv in (1, 2)] == [1, 1]
     transmit = {(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 1)}  # 0-based (b, A, g, h)
     policy = np.array(
         [int(kernel.indexer.index_to_state(s) in transmit) for s in range(kernel.total_states)]
@@ -670,8 +680,14 @@ def _nA_kernel(config, indexer):
     num_actions = N + 1 if age else 2
     vps = indexer.vars_per_source
     grids = np.unravel_index(np.arange(n), indexer.dims)
-    e_h = [np.array(t) for t in config.harvest_table]
-    e_t = [np.array(t) for t in config.transmit_table]
+    e_h = [
+        np.array([harvested_quanta(config, i, lv) for lv in range(1, s.link.levels_downlink + 1)])
+        for i, s in enumerate(config.sources)
+    ]
+    e_t = [
+        np.array([transmit_quanta(config, i, lv) for lv in range(1, s.link.levels_uplink + 1)])
+        for i, s in enumerate(config.sources)
+    ]
     b = [grids[vps * i] for i in range(N)]
     A = [grids[vps * i + 1] for i in range(N)] if age else None
     g = [grids[vps * i + vps - 2] for i in range(N)]

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from aoi_rl.env import harvested_quanta, transmit_quanta
 from aoi_rl.errors import ContractError
 from aoi_rl.mdp import StateIndexer, build_kernel, enumerate_states, solve_rvia
 from aoi_rl.structure import (
@@ -128,9 +129,10 @@ def test_single_source_threshold_detects_hole(small_config):
     p = np.zeros(idx.dims, dtype=np.int64)
     p[2, -1, -1, -1] = 1  # transmit at b=2 ...
     p[3, -1, -1, -1] = 0  # ... but harvest at b=3: breaks upward closure
+    link = small_config.sources[0].link
     need = max(
-        small_config.sources[0].battery_quanta - small_config.harvest_table[0][-1],
-        small_config.transmit_table[0][-1],
+        small_config.sources[0].battery_quanta - harvested_quanta(small_config, 0, link.levels_downlink),
+        transmit_quanta(small_config, 0, link.levels_uplink),
     )
     assert need <= 2, "test premise: both states lie in the threshold set"
     violations = check_threshold_single_source(idx, p.ravel(), small_config, "age")
