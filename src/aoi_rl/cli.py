@@ -327,6 +327,7 @@ def _checked(kind, ok, what: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
 _probability = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _positive_floats(text: str) -> list[float]:
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--agent", choices=["tabular", "dqn"], default="dqn")
     p.add_argument("--slots", type=_positive_int, default=_SLOTS)
-    p.add_argument("--seed", type=int, default=_SEED)
+    p.add_argument("--seed", type=_seed, default=_SEED)
     p.add_argument(
         "--epsilon", type=_probability, default=DEFAULT_EPS0, help="initial exploration rate"
     )
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["age", "throughput"], default="age")
     p.add_argument("--slots", type=_positive_int, help=f"tabular and dqn only; default {_SLOTS}")
     p.add_argument("--eval-slots", type=_positive_int, help=f"dqn only; default {_EVAL_SLOTS}")
-    p.add_argument("--seed", type=int, help=f"tabular and dqn only; default {_SEED}")
+    p.add_argument("--seed", type=_seed, help=f"tabular and dqn only; default {_SEED}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--policy", required=True, help="policy CSV or checkpoint (.npz)")
     p.add_argument("--slots", type=_positive_int, default=_SLOTS)
-    p.add_argument("--seed", type=int, default=_SEED)
+    p.add_argument("--seed", type=_seed, default=_SEED)
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
             parser.error(f"argument --eval-slots: the {args.agent} agent does not use it")
     try:
         config = load_config(args.config)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError, InvalidConfigError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError, InvalidConfigError, SizeLimitError) as exc:
         reason = " ".join(str(exc).split())  # YAML errors span several lines
         return _error(args, f"cannot use config {args.config}: {reason}")
     return args.func(args, config)

@@ -148,8 +148,10 @@ class QNetwork:
     @classmethod
     def load(cls, path, config: SystemConfig | None = None) -> "QNetwork":
         """The network ``save`` wrote to ``path``; ``ContractError`` if the
-        file is not a whole archive holding every array ``save`` writes, or
-        if its layer arrays do not chain as its ``layer_sizes`` say, and
+        file is not a whole archive holding every array ``save`` writes,
+        if its ``format_version`` is not the integer 1, if its layer arrays
+        do not chain as its ``layer_sizes`` say or hold a value that is not
+        finite, and
         with ``config`` also if the network was not trained on its state
         encoding (another input width, other encoding denominators or none
         recorded) or does not output one value per action."""
@@ -158,7 +160,10 @@ class QNetwork:
                 data = np.load(fh)
                 if not isinstance(data, np.lib.npyio.NpzFile):
                     raise ContractError("a single array, not a checkpoint archive")
-                if (version := int(data["format_version"])) != 1:
+                version = data["format_version"]
+                if version.shape != () or version.dtype.kind not in "iu":
+                    raise ContractError(f"format_version {version.tolist()!r} is not one integer")
+                if version != 1:
                     raise ContractError(f"unknown checkpoint version {version}")
                 sizes = np.ravel(data["layer_sizes"]).tolist()
                 layers = sum(name.startswith("w") for name in data.files)
@@ -191,7 +196,10 @@ class QNetwork:
                         )
         except (zipfile.BadZipFile, KeyError) as exc:
             raise ContractError(f"unreadable checkpoint: {exc}") from exc
-        return cls(weights, biases)
+        net = cls(weights, biases)
+        if not np.isfinite(net.params).all():
+            raise ContractError("the checkpoint holds a non-finite weight or bias")
+        return net
 
 
 class ReplayMemory:

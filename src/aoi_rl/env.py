@@ -16,6 +16,7 @@ the DQN training loop, and the exact kernel reads them over the state grid.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -28,7 +29,7 @@ import numpy as np
 import yaml
 
 from .channel import FadingQuantizer, LinkParams, build_quantizer, sample_level
-from .errors import InfeasibleActionError, InvalidConfigError
+from .errors import InfeasibleActionError, InvalidConfigError, SizeLimitError
 
 HARVEST = 0
 
@@ -42,10 +43,11 @@ def action_name(action: int) -> str:
 
 
 def parse_action(name: str) -> int:
+    """Inverse of ``action_name``: ``ValueError`` for a label it never writes."""
     if name == "H":
         return HARVEST
-    if name.startswith("T"):
-        return int(name[1:])
+    if name[:1] == "T" and name[1:].isdecimal() and action_name(action := int(name[1:])) == name:
+        return action
     raise ValueError(f"unrecognized action label {name!r}")
 
 
@@ -70,6 +72,23 @@ class SourceSpec:
 
 def _dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+# most bytes one source's successor arrays may take
+_SLOT_MODEL_BYTES = 1 << 28
+
+
+@contextlib.contextmanager
+def _in_range(quantity: str):
+    """Refuse arithmetic that leaves the float range with
+    ``InvalidConfigError`` naming ``quantity``: a Python float power, or
+    rounding an infinity to quanta, raises ``OverflowError``, and numpy's
+    arithmetic raises ``FloatingPointError`` here."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise InvalidConfigError(f"{quantity} lies outside the floating-point range") from exc
 
 
 @dataclass
@@ -120,19 +139,28 @@ class SystemConfig:
                         "correlated_links requires equal down/uplink level counts"
                     )
         self.sources = tuple(self.sources)
-        self.tx_power_watts = _dbm_to_watts(self.tx_power_dbm)
-        self.noise_watts = _dbm_to_watts(self.noise_power_dbm)
-        self.downlink_quantizers = tuple(
-            build_quantizer(s.link.mean_gain, s.link.levels_downlink) for s in self.sources
-        )
-        self.uplink_quantizers = tuple(
-            build_quantizer(s.link.mean_gain, s.link.levels_uplink) for s in self.sources
-        )
+        with _in_range("the transmit power"):
+            self.tx_power_watts = _dbm_to_watts(self.tx_power_dbm)
+        with _in_range("the noise power"):
+            self.noise_watts = _dbm_to_watts(self.noise_power_dbm)
+        quantizers = []
+        for i, s in enumerate(self.sources, start=1):
+            with _in_range(f"source {i}'s mean channel gain"):
+                levels = (s.link.levels_downlink, s.link.levels_uplink)
+                quantizers.append([build_quantizer(s.link.mean_gain, n) for n in levels])
+            nbytes = 8 * ((s.battery_quanta + 1) * sum(levels) + s.aoi_cap)
+            if nbytes > _SLOT_MODEL_BYTES:
+                raise SizeLimitError(
+                    f"source {i}'s slot model needs {nbytes} bytes, exceeding {_SLOT_MODEL_BYTES}"
+                )
+        self.downlink_quantizers, self.uplink_quantizers = map(tuple, zip(*quantizers))
         model = []
         for i, s in enumerate(self.sources):
             cap, battery = s.battery_quanta, np.arange(s.battery_quanta + 1)[:, None]
-            gains = [harvested_quanta(self, i, lv) for lv in range(1, s.link.levels_downlink + 1)]
-            costs = [transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1)]
+            with _in_range(f"source {i + 1}'s harvested energy"):
+                gains = [harvested_quanta(self, i, lv) for lv in range(1, s.link.levels_downlink + 1)]
+            with _in_range(f"source {i + 1}'s transmit energy"):
+                costs = [transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1)]
             # a gain above the capacity charges as the capacity, a cost above it as one more
             model.append((
                 np.minimum(battery + [min(q, cap) for q in gains], cap),
@@ -417,7 +445,7 @@ def with_battery_capacity(config: SystemConfig, joules: float) -> SystemConfig:
     sources = []
     for i, s in enumerate(config.sources, start=1):
         quanta = joules * s.battery_quanta / s.battery_capacity_joules
-        whole = round(quanta)
+        whole = round(quanta) if math.isfinite(quanta) else 0
         if whole < 1 or abs(quanta - whole) > 1e-9 * quanta:
             raise InvalidConfigError(
                 f"battery capacity {joules * 1e3:g} mJ is not a whole number of source {i}'s "

@@ -693,7 +693,10 @@ def load_policy_csv(path, indexer: StateIndexer):
             s = np.ravel_multi_index(tuple(grid), indexer.dims)
             names = fields[nv::width]
             for name in set(names) - action_of.keys():
-                action_of[name] = parse_action(name)
+                try:
+                    action_of[name] = parse_action(name)
+                except ValueError:
+                    action_of[name] = -1
                 if not 0 <= action_of[name] <= indexer.num_sources:
                     raise ContractError(f"policy action {name} lies outside H, T1..T{indexer.num_sources}")
             policy[s] = list(map(action_of.__getitem__, names))

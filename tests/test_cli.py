@@ -478,6 +478,11 @@ def test_train_manifest_records_phase_time_and_slot_rate(tmp_path, config_path, 
           "--objective", "throughput"], "--objective"),
         (["sweep", "--vary", "packet_bits", "--values", "12", "--agent", "dqn",
           "--objective", "throughput"], "--objective"),
+        (["train", "--seed", "-1"], "--seed"),
+        (["simulate", "--policy", "policy.csv", "--seed", "-1"], "--seed"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--agent", "dqn", "--seed", "-1"], "--seed"),
+        (["sweep", "--vary", "packet_bits", "--values", "12", "--agent", "tabular", "--seed", "-1"],
+         "--seed"),
     ],
 )
 def test_cli_refuses_unusable_counts_and_tolerances(tmp_path, config_path, capsys, argv, flag):
@@ -611,6 +616,11 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
         rows[0] = rows[0].replace(",H,", ",T2,").replace(",T1,", ",T2,")
         path.write_text("\n".join([header, *rows]) + "\n")
         return path, "policy action T2 lies outside H, T1..T1"
+    if kind == "relabelled":
+        # H written as T0 and T1 as T01: labels action_name never writes
+        rows = [row.replace(",H,", ",T0,").replace(",T1,", ",T01,") for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path, "lies outside H, T1..T1"
     if kind == "width":
         # a two-source network reads 8 inputs; one source encodes to 4
         data = yaml.safe_load(config_path.read_text())
@@ -651,6 +661,16 @@ def _unfit_artifact(kind, tmp_path, config_path) -> tuple[Path, str]:
                 "bias-length": ({"b0": np.zeros(1)},
                                 "layer arrays of shapes [(4, 64), (1,), (64, 64), (64,), (64, 2), (2,)] "
                                 "do not chain as layer_sizes [4, 64, 64, 2]"),
+                "1-d-version": ({"format_version": np.array([1, 1])},
+                                "format_version [1, 1] is not one integer"),
+                "float-version": ({"format_version": np.array(1.7)},
+                                  "format_version 1.7 is not one integer"),
+                "nan-weight": ({"w2": np.where(arrays["w2"] > 0, np.nan, arrays["w2"])},
+                               "the checkpoint holds a non-finite weight or bias"),
+                "inf-weight": ({"w0": np.where(arrays["w0"] > 0, np.inf, arrays["w0"])},
+                               "the checkpoint holds a non-finite weight or bias"),
+                "inf-bias": ({"b1": np.full(64, -np.inf)},
+                             "the checkpoint holds a non-finite weight or bias"),
             }[kind]
             np.savez(path, **{**arrays, **edit})
             return path, reason
@@ -707,10 +727,11 @@ _CORRUPT_CHECKPOINTS = ["truncated", "zip-stub", "no-version", "single-array"]
 # checkpoints of networks trained on another state encoding, or on one not recorded
 _OTHER_ENCODINGS = ["width", "other-grid", "no-encoding"]
 # checkpoints whose arrays do not make a network with one output per action
-_MISSHAPEN_CHECKPOINTS = ["dropped-layer", "0-d-sizes", "unchained", "bias-length"]
+_MISSHAPEN_CHECKPOINTS = ["dropped-layer", "0-d-sizes", "unchained", "bias-length", "1-d-version",
+                          "float-version", "nan-weight", "inf-weight", "inf-bias"]
 _CHECKPOINT_KINDS = [*_OTHER_ENCODINGS, *_CORRUPT_CHECKPOINTS, *_MISSHAPEN_CHECKPOINTS,
                      "one-output", "three-output"]
-_UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "missing-file",
+_UNFIT_KINDS = ["header", "off-grid", "missing-rows", "action", "relabelled", "missing-file",
                 "infeasible", "infeasible-without-values", "nan-values", "missing-values",
                 *_CHECKPOINT_KINDS]
 
@@ -752,12 +773,22 @@ def _unusable_config(kind, tmp_path, config_path) -> tuple[Path, str]:
         path.write_text(config_path.read_text() + "sources: [\n")
         return path, "while parsing"
     data = yaml.safe_load(config_path.read_text())
+    if kind == "long-packet":
+        # 2**2000 - 1 overflows the SNR gap of the transmit energy
+        data["packet_mbits"] = 2000
+        path.write_text(yaml.safe_dump(data))
+        return path, "source 1's transmit energy lies outside the floating-point range"
+    if kind == "near-distance":
+        # (1e-200 m) ** -2 overflows the path loss
+        data["sources"][0]["distance_m"] = 1.0e-200
+        path.write_text(yaml.safe_dump(data))
+        return path, "source 1's mean channel gain lies outside the floating-point range"
     del data["reference_gain"]
     path.write_text(yaml.safe_dump(data))
     return path, "missing config key reference_gain at the top level"
 
 
-@pytest.mark.parametrize("kind", ["missing-file", "yaml-syntax", "invalid"])
+@pytest.mark.parametrize("kind", ["missing-file", "yaml-syntax", "invalid", "long-packet", "near-distance"])
 @pytest.mark.parametrize("command", ["solve", "train", "verify", "sweep", "simulate"])
 def test_unusable_config_exits_2_with_one_line(tmp_path, config_path, capsys, command, kind):
     """A config that is missing, is not YAML or is not a valid scenario is
@@ -844,6 +875,26 @@ def test_sweep_refuses_a_capacity_off_the_quantum_grid(tmp_path, capsys, monkeyp
     assert line == (
         f"aoi-rl sweep: error: cannot sweep battery_capacity=0.25 with the {agent} agent: "
         "battery capacity 0.25 mJ is not a whole number of source 1's 0.1 mJ energy quanta"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("agent", ["exact", "tabular", "dqn"])
+def test_sweep_refuses_a_packet_whose_energy_overflows(tmp_path, capsys, monkeypatch, agent):
+    """A swept packet size whose transmit energy leaves the float range is
+    refused before any point is solved, and no output is created."""
+    _never_work(monkeypatch, "build_kernel", "solve_rvia", "train_tabular", "train_dqn")
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", "configs/learning_small.yaml", "--vary", "packet_bits",
+            "--values", "12,2000", "--agent", agent, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == (
+        f"aoi-rl sweep: error: cannot sweep packet_bits=2000 with the {agent} agent: "
+        "source 1's transmit energy lies outside the floating-point range"
     )
     assert not out.exists()
 

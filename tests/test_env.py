@@ -33,7 +33,7 @@ from aoi_rl.env import (
 )
 from aoi_rl.channel import sample_level
 from aoi_rl.cli import main
-from aoi_rl.errors import InfeasibleActionError, InvalidConfigError
+from aoi_rl.errors import InfeasibleActionError, InvalidConfigError, SizeLimitError
 from aoi_rl.mdp import build_kernel, enumerate_states
 
 from conftest import make_config, random_tiny_config
@@ -257,6 +257,13 @@ def test_action_names_round_trip():
         parse_action("X1")
 
 
+@pytest.mark.parametrize("label", ["T0", "T-0", "T01", "T+1", "T 1", "T\u0661", "T", "T1 "])
+def test_parse_action_reads_only_the_labels_action_name_writes(label):
+    with pytest.raises(ValueError, match="unrecognized action label"):
+        parse_action(label)
+    assert [parse_action(action_name(a)) for a in range(12)] == list(range(12))
+
+
 # --- simulation -----------------------------------------------------------
 
 
@@ -375,6 +382,36 @@ def test_successor_arrays_clip_huge_gains_and_costs():
         far = make_config(distances=(1e150,), levels=2)
     assert transmit_quanta(far, 0, 1) > 2**64
     assert far.spent[0].tolist() == [[-1, -1]] * 4
+
+
+@pytest.mark.parametrize(
+    "build, quantity",
+    [
+        (lambda: with_packet_bits(make_config(), 2000e6), "source 1's transmit energy"),
+        (lambda: make_config(packet_mbits=2000.0), "source 1's transmit energy"),
+        (lambda: make_config(distances=(25.0, 1e-200)), "source 2's mean channel gain"),
+        (lambda: make_config(distances=(1e-154,)), "source 1's harvested energy"),
+        (lambda: make_config(distances=(1e160,)), "source 1's transmit energy"),
+        (lambda: dataclasses.replace(make_config(), tx_power_dbm=5000.0), "the transmit power"),
+        (lambda: dataclasses.replace(make_config(), noise_power_dbm=5000.0), "the noise power"),
+    ],
+    ids=["with-packet-bits", "packet", "distance", "harvest", "far", "tx-power", "noise"],
+)
+def test_config_refuses_energy_arithmetic_that_overflows(build, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not warned about
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(quantity)} lies outside the floating-point range$"):
+            build()
+
+
+def test_config_refuses_slot_model_above_its_byte_guard():
+    spec = make_config().sources[0]
+    huge = dataclasses.replace(spec, battery_quanta=10**12, battery_capacity_joules=1e2)
+    with pytest.raises(SizeLimitError, match=r"^source 1's slot model needs 64000000000096 bytes, exceeding 268435456$"):
+        dataclasses.replace(make_config(), sources=(huge,))
+    # a capacity beyond float range is no whole number of quanta
+    with pytest.raises(InvalidConfigError, match="not a whole number"):
+        with_battery_capacity(make_config(), 1e305)
 
 
 def test_successor_arrays_are_left_out_of_equality():

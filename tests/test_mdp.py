@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -885,6 +886,17 @@ def test_policy_csv_round_trip(tmp_path, small_config):
     policy, values = load_policy_csv(path, kernel.indexer)
     assert np.array_equal(policy, pt.actions)
     assert values == pytest.approx(vt.values)
+
+
+@pytest.mark.parametrize("label", ["T0", "T-0", "T01", "T+1", "T 1", "T\u0661"])
+def test_policy_csv_refuses_labels_action_name_never_writes(tmp_path, small_config, label):
+    indexer = enumerate_states(small_config)
+    path = tmp_path / "policy.csv"
+    export_policy_csv(path, indexer, np.zeros(indexer.total_states, dtype=np.int64))
+    header, first, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, first.replace(",H,", f",{label},"), *rows]) + "\n")
+    with pytest.raises(ContractError, match=f"^policy action {re.escape(label)} lies outside H, T1..T1$"):
+        load_policy_csv(path, indexer)
 
 
 def test_policy_csv_header_mismatch(tmp_path, small_config):
