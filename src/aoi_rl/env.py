@@ -144,23 +144,23 @@ class SystemConfig:
         with _in_range("the noise power"):
             self.noise_watts = _dbm_to_watts(self.noise_power_dbm)
         quantizers = []
-        for i, s in enumerate(self.sources, start=1):
-            with _in_range(f"source {i}'s mean channel gain"):
+        for i, s in enumerate(self.sources):
+            with _in_range(f"source {i + 1}'s mean channel gain"):
                 levels = (s.link.levels_downlink, s.link.levels_uplink)
                 quantizers.append([build_quantizer(s.link.mean_gain, n) for n in levels])
-            nbytes = 8 * ((s.battery_quanta + 1) * sum(levels) + s.aoi_cap)
-            if nbytes > _SLOT_MODEL_BYTES:
-                raise SizeLimitError(
-                    f"source {i}'s slot model needs {nbytes} bytes, exceeding {_SLOT_MODEL_BYTES}"
-                )
         self.downlink_quantizers, self.uplink_quantizers = map(tuple, zip(*quantizers))
         model = []
         for i, s in enumerate(self.sources):
-            cap, battery = s.battery_quanta, np.arange(s.battery_quanta + 1)[:, None]
+            cap, down, up = s.battery_quanta, s.link.levels_downlink, s.link.levels_uplink
+            if (nbytes := 8 * ((cap + 1) * (down + up) + s.aoi_cap)) > _SLOT_MODEL_BYTES:
+                raise SizeLimitError(
+                    f"source {i + 1}'s slot model needs {nbytes} bytes, exceeding {_SLOT_MODEL_BYTES}"
+                )
             with _in_range(f"source {i + 1}'s harvested energy"):
-                gains = [harvested_quanta(self, i, lv) for lv in range(1, s.link.levels_downlink + 1)]
+                gains = [harvested_quanta(self, i, lv) for lv in range(1, down + 1)]
             with _in_range(f"source {i + 1}'s transmit energy"):
-                costs = [transmit_quanta(self, i, lv) for lv in range(1, s.link.levels_uplink + 1)]
+                costs = [transmit_quanta(self, i, lv) for lv in range(1, up + 1)]
+            battery = np.arange(cap + 1)[:, None]
             # a gain above the capacity charges as the capacity, a cost above it as one more
             model.append((
                 np.minimum(battery + [min(q, cap) for q in gains], cap),
