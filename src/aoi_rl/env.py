@@ -234,8 +234,9 @@ def step(config: SystemConfig, state: State, action: int, levels: Levels) -> Sta
     transmission the battery cannot pay for.
     """
     i = action - 1
-    left = config.spent[i].item(state[4 * i], state[4 * i + 3]) if 0 <= i < config.num_sources else -1
-    if action != HARVEST and left < 0:
+    if action != HARVEST and not (
+        0 <= i < config.num_sources and config.spent[i].item(state[4 * i], state[4 * i + 3]) >= 0
+    ):
         raise InfeasibleActionError(f"action {action_name(action)} is infeasible in state {state}")
     down, up = levels
     out = []
@@ -244,7 +245,7 @@ def step(config: SystemConfig, state: State, action: int, levels: Levels) -> Sta
         if action == HARVEST:
             b = config.charged[j].item(b, g)
         elif action == j + 1:
-            b = left
+            b = config.spent[j].item(b, h)
         out += (b, 0 if action == j + 1 else config.aged[j].item(age), down[j], up[j])
     return tuple(out)
 
